@@ -12,7 +12,7 @@ SCALE ?= test
 # or proc (real etude-server processes behind the local control plane).
 PODS ?= inproc
 
-.PHONY: build test bench vet race check reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
+.PHONY: build test bench vet race check perf reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
 
 # Process tests exec a real etude-server; build it once here so every test
 # package shares one binary instead of each invoking `go build`.
@@ -51,7 +51,9 @@ race:
 # scatter-gather retrieval tier (goroutine fan-out, hedged sub-requests,
 # partial top-k merge, the partial-result policy and its group breakers),
 # the overload controllers (CoDel, AIMD limiter) hammered from many
-# goroutines, and the chaos drivers including the shard-blackout scenario.
+# goroutines, the chaos drivers including the shard-blackout scenario, and
+# the data plane (the scan kernel and the per-request goroutines of the
+# core split in topk.TopK, reached through every model).
 # Process tests (real SIGKILL blackouts included) use the prebuilt
 # bin/etude-server; skip them with `go test -short`.
 # The final step is the perf-regression gate: it re-runs the smoke grid
@@ -62,8 +64,18 @@ check: bin/etude-server bin/etude
 	go build ./...
 	go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
-	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy
+	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
+
+# The repository's benchmark (BENCHMARK.json): absolute wall-clock numbers
+# for one workload, or all four when WORKLOAD is unset, e.g.
+#   make perf WORKLOAD=scan_1m SEED=7
+# To compare the working tree with a revision on paired runs, build bin/etude
+# and run `bin/etude bench pair -base HEAD -workload scan_1m -n 4`.
+WORKLOAD ?= all
+SEED ?= 1
+perf:
+	bash perf/run.sh --workload $(WORKLOAD) --seed $(SEED)
 
 # One-command reproduction of the paper: run every experiment in
 # bench/full.json three times (independent seeds) into a timestamped

@@ -8,6 +8,7 @@
 //	etude infra -bucket ./bucket
 //	etude benchmark -experiment fig2|fig3|fig4|table1|validation|issues|runtimes|autoscale|chaos|overload|rolling|deploy|breakdown|shard|blackout|tenant|procs [-scale test|paper] [-pods inproc|proc]
 //	etude bench -grid bench/smoke.json [-update-baseline]
+//	etude bench pair -base HEAD -workload scan_1m -n 4
 //	etude deploy publish|promote|rollback|list|status -bucket ./bucket
 //	etude live -model gru4rec -catalog 10000 -rate 100 -duration 30s [-bucket ./bucket]
 //	etude report -bucket ./bucket -key results/live.json
@@ -68,6 +69,7 @@ func usage() {
   etude infra     -bucket DIR
   etude benchmark -experiment fig2|fig3|fig4|table1|validation|issues|runtimes|autoscale|chaos|overload|rolling|deploy|breakdown|shard|blackout|tenant|procs [-scale test|paper] [-pods inproc|proc] [-bucket DIR]
   etude bench     -grid SPEC.json [-out DIR] [-baseline DIR] [-update-baseline] [-no-gate]
+  etude bench     pair -base REV -workload NAME -n PAIRS [-seed N]
   etude deploy    publish  -bucket DIR -model NAME -catalog C [-seed N] [-notes S] [-promote]
   etude deploy    promote  -bucket DIR -version N
   etude deploy    rollback -bucket DIR [-reason S]
@@ -159,6 +161,10 @@ func benchmark(args []string) {
 // committed baselines and exits non-zero when a metric regressed beyond
 // its noise band, naming the trace stage that moved with it.
 func benchCmd(args []string) {
+	if len(args) > 0 && args[0] == "pair" {
+		benchPair(args[1:])
+		return
+	}
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	gridPath := fs.String("grid", "bench/smoke.json", "experiment grid spec (JSON)")
 	outDir := fs.String("out", "results/runs", "parent directory for timestamped run directories")

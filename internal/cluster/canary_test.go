@@ -126,10 +126,10 @@ func TestCanaryPromotesGoodRelease(t *testing.T) {
 
 func TestCanaryRollsBackLatencyRegression(t *testing.T) {
 	store, svc := canaryFixture(t)
-	// 100x the catalog: O(C) MIPS scoring makes the candidate organically,
+	// 1000x the catalog: O(C) MIPS scoring makes the candidate organically,
 	// massively slower than the baseline — the paper's core scaling result
 	// used as a rollback trigger.
-	vBad := publishRelease(t, store, 20000, 3)
+	vBad := publishRelease(t, store, 200000, 3)
 
 	cc := NewCanaryController(store)
 	out, err := cc.Rollout(context.Background(), svc, vBad, canaryCfg())

@@ -65,7 +65,7 @@ func DefaultDeployStudyConfig() DeployStudyConfig {
 	return DeployStudyConfig{
 		Model:          "gru4rec",
 		CatalogSize:    10_000,
-		RegressFactor:  8,
+		RegressFactor:  32,
 		Replicas:       3,
 		CanaryPods:     1,
 		TargetRate:     150,

@@ -56,13 +56,12 @@ func (b *base) score(rep *tensor.Tensor) []topk.Result {
 	return topk.TopK(b.emb.Weight, rep, b.cfg.TopK)
 }
 
-// compiledScorer returns a scoring closure that reuses a single score buffer
-// across calls — the main memory-allocation win of the JIT path.
+// compiledScorer returns a scoring closure that keeps its scan scratch
+// across calls, so a compiled plan allocates only the list it returns.
 func (b *base) compiledScorer() func(rep *tensor.Tensor) []topk.Result {
-	buf := tensor.New(b.cfg.CatalogSize)
+	var scan topk.Scanner
 	return func(rep *tensor.Tensor) []topk.Result {
-		tensor.MatVecInto(buf, b.emb.Weight, rep)
-		return topk.SelectFromScores(buf.Data(), b.cfg.TopK)
+		return scan.TopK(b.emb.Weight, rep, b.cfg.TopK)
 	}
 }
 

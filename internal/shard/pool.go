@@ -13,7 +13,7 @@ import (
 // scores its slice of the catalog embedding matrix against the session
 // representation, and the partial top-k lists are merged into the exact
 // global top-k. It is safe for concurrent use — each call allocates its own
-// score buffers and partial lists.
+// scan scratch and partial lists.
 type Pool struct {
 	items *tensor.Tensor
 	parts []Partition
@@ -98,17 +98,9 @@ func (p *Pool) TopKPartial(query *tensor.Tensor, k int, down []bool) ([]topk.Res
 	return topk.MergePartial(partials, k), answered
 }
 
-// searchPartition scores rows [From, To) against the query and returns the
-// partition's exact top-k with item ids rebased into the global id space.
+// searchPartition returns the partition's exact top-k under global item ids.
 func searchPartition(items *tensor.Tensor, part Partition, query *tensor.Tensor, k int) []topk.Result {
-	rows := items.Rows(part.From, part.To)
-	scores := tensor.New(part.Size())
-	tensor.MatVecInto(scores, rows, query)
-	recs := topk.SelectFromScores(scores.Data(), k)
-	for i := range recs {
-		recs[i].Item += int64(part.From)
-	}
-	return recs
+	return topk.Scan(items, query, k, part.From, part.To)
 }
 
 // PartitionRetriever returns a model.Retriever serving the exact top-k of

@@ -81,17 +81,38 @@ func MatVecInto(dst, a, x *Tensor) {
 	if len(dst.shape) != 1 || dst.shape[0] != m {
 		panic("tensor: MatVec dst shape mismatch")
 	}
-	ad, xd, dd := a.data, x.data, dst.data
-	for i := 0; i < m; i++ {
-		dd[i] = Dot(ad[i*k:(i+1)*k], xd)
-	}
+	dotRows(dst.data, a.data, x.data)
 }
 
-// Dot returns the inner product of two equal-length slices.
+// DotRows writes dst[r] = Dot(a[r*d:(r+1)*d], q) for d = len(q): a run of
+// rows of a row-major matrix scored against one query. It is the slice form
+// of MatVecInto, for callers that walk a matrix block by block without
+// building a view per block. len(a) must be len(dst)*len(q).
+func DotRows(dst, a, q []float32) {
+	if len(a) != len(dst)*len(q) {
+		panic(fmt.Sprintf("tensor: DotRows %d values for %d rows of %d", len(a), len(dst), len(q)))
+	}
+	dotRows(dst, a, q)
+}
+
+// Dot returns the inner product of two equal-length slices, in the
+// accumulation order of dotGeneric on every platform.
 func Dot(x, y []float32) float32 {
 	if len(x) != len(y) {
 		panic("tensor: Dot length mismatch")
 	}
+	var s [1]float32
+	dotRows(s[:], x, y)
+	return s[0]
+}
+
+// dotGeneric fixes the accumulation order every inner product in this
+// repository has: four partial sums over elements i, i+1, i+2, i+3 of each
+// group of four, added as ((s0+s1)+s2)+s3, then the remaining elements in
+// order. Responses are compared bit for bit across serving paths, so a
+// platform kernel (dot_amd64.s) reproduces this order exactly; this loop is
+// the fallback elsewhere and the reference the tests compare against.
+func dotGeneric(x, y []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(x); i += 4 {

@@ -15,59 +15,73 @@ package topk
 // Cost is O((P + k)·log P) for P partials — the explicit merge term of the
 // sharded cost model (shard.MergeOps).
 func MergePartial(partials [][]Result, k int) []Result {
+	var m merger
+	return m.run(partials, k)
+}
+
+// merger is MergePartial's working state, kept by a Scanner between calls.
+type merger struct {
+	partials [][]Result
+	// heap holds the indices of non-exhausted partials, ordered by their
+	// head element (pos is the head's position): the one that ranks first
+	// at the root, so the merge pops results in SelectFromScores' output
+	// order.
+	heap, pos []int
+}
+
+func (m *merger) before(a, b int) bool {
+	ra, rb := m.partials[a][m.pos[a]], m.partials[b][m.pos[b]]
+	return ranks(ra.Score, ra.Item, rb.Score, rb.Item)
+}
+
+func (m *merger) down(i int) {
+	heap := m.heap
+	for {
+		child := 2*i + 1
+		if child >= len(heap) {
+			return
+		}
+		if child+1 < len(heap) && m.before(heap[child+1], heap[child]) {
+			child++
+		}
+		if !m.before(heap[child], heap[i]) {
+			return
+		}
+		heap[i], heap[child] = heap[child], heap[i]
+		i = child
+	}
+}
+
+func (m *merger) run(partials [][]Result, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	// heap holds the indices of non-exhausted partials, ordered by their
-	// head element: best score first, lower item id on ties — the exact
-	// inverse of the selection heap's eviction order, so the merge pops
-	// results in SelectFromScores' output order.
-	heap := make([]int, 0, len(partials))
-	pos := make([]int, len(partials))
-	better := func(a, b int) bool {
-		ra, rb := partials[a][pos[a]], partials[b][pos[b]]
-		if ra.Score != rb.Score {
-			return ra.Score > rb.Score
-		}
-		return ra.Item < rb.Item
-	}
-	down := func(i int) {
-		for {
-			child := 2*i + 1
-			if child >= len(heap) {
-				return
-			}
-			if child+1 < len(heap) && better(heap[child+1], heap[child]) {
-				child++
-			}
-			if !better(heap[child], heap[i]) {
-				return
-			}
-			heap[i], heap[child] = heap[child], heap[i]
-			i = child
-		}
-	}
+	m.partials, m.heap, m.pos = partials, m.heap[:0], m.pos[:0]
+	total := 0
 	for i, p := range partials {
+		m.pos = append(m.pos, 0)
 		if len(p) > 0 {
-			heap = append(heap, i)
+			m.heap = append(m.heap, i)
+			total += len(p)
 		}
 	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	if len(heap) == 0 {
+	if total == 0 {
 		return nil
 	}
-	out := make([]Result, 0, k)
-	for len(heap) > 0 && len(out) < k {
-		src := heap[0]
-		out = append(out, partials[src][pos[src]])
-		pos[src]++
-		if pos[src] == len(partials[src]) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
+	out := make([]Result, 0, min(k, total))
+	for len(out) < cap(out) {
+		src := m.heap[0]
+		out = append(out, partials[src][m.pos[src]])
+		m.pos[src]++
+		if m.pos[src] == len(partials[src]) {
+			m.heap[0] = m.heap[len(m.heap)-1]
+			m.heap = m.heap[:len(m.heap)-1]
+		}
+		m.down(0)
+	}
+	m.partials = nil
 	return out
 }

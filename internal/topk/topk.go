@@ -8,11 +8,7 @@
 // scoring pass and C·log k for maintaining the best-k heap.
 package topk
 
-import (
-	"fmt"
-
-	"etude/internal/tensor"
-)
+import "etude/internal/tensor"
 
 // Result is one recommended item with its model score.
 type Result struct {
@@ -20,29 +16,35 @@ type Result struct {
 	Score float32 // inner-product score
 }
 
-// TopK scores all rows of items (an [C,d] embedding matrix) against query (a
-// length-d vector) and returns the k highest-scoring items in descending
-// score order. If k exceeds C, all C items are returned.
-func TopK(items, query *tensor.Tensor, k int) []Result {
-	scores := tensor.MatVec(items, query)
-	return SelectFromScores(scores.Data(), k)
+// ranks reports whether (sa, a) comes before (sb, b) in the one order every
+// selection and merge in this package produces: higher score first, NaN
+// below every number, and the lower item id first among equal scores or
+// among NaNs.
+func ranks(sa float32, a int64, sb float32, b int64) bool {
+	if sa > sb {
+		return true
+	}
+	if sa < sb {
+		return false
+	}
+	if aNaN, bNaN := sa != sa, sb != sb; aNaN != bNaN {
+		return bNaN
+	}
+	return a < b
 }
 
 // SelectFromScores returns the k largest entries of scores in descending
 // order using a bounded min-heap: O(C log k) instead of O(C log C) for a full
-// sort. Ties are broken towards the lower item id for deterministic output.
+// sort. Ties are broken towards the lower item id for deterministic output,
+// and NaN ranks below every number.
 func SelectFromScores(scores []float32, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	h := newMinHeap(k)
-	for i, s := range scores {
-		h.offer(int64(i), s)
-	}
-	return h.drainDescending()
+	var h minHeap
+	h.reset(min(k, len(scores)))
+	h.offerRun(0, scores)
+	return h.drainDescending(make([]Result, len(h.items)))
 }
 
 // SelectFromScoresSorted is the exhaustive baseline used by the top-k
@@ -65,30 +67,26 @@ func SelectFromScoresSorted(scores []float32, k int) []Result {
 }
 
 // minHeap is a fixed-capacity binary min-heap over (item, score) pairs. The
-// root holds the current k-th best score, so a candidate only enters the heap
-// when it beats the root.
+// root holds the current k-th best, so a candidate only enters the heap when
+// it ranks before the root. The zero value is an empty heap of capacity 0;
+// reset sizes it and keeps the storage for the next selection.
 type minHeap struct {
 	items  []int64
 	scores []float32
 	cap    int
 }
 
-func newMinHeap(k int) *minHeap {
-	return &minHeap{
-		items:  make([]int64, 0, k),
-		scores: make([]float32, 0, k),
-		cap:    k,
+func (h *minHeap) reset(k int) {
+	if cap(h.items) < k {
+		h.items, h.scores = make([]int64, 0, k), make([]float32, 0, k)
 	}
+	h.items, h.scores, h.cap = h.items[:0], h.scores[:0], k
 }
 
-// less orders by score ascending with item id descending as tie-break, so
-// that for equal scores the larger item id is considered "worse" and evicted
-// first, yielding deterministic lowest-id-wins results.
+// less is the eviction order, the inverse of ranks: the entry that ranks
+// last is the smallest and sits at the root.
 func (h *minHeap) less(a, b int) bool {
-	if h.scores[a] != h.scores[b] {
-		return h.scores[a] < h.scores[b]
-	}
-	return h.items[a] > h.items[b]
+	return ranks(h.scores[b], h.items[b], h.scores[a], h.items[a])
 }
 
 func (h *minHeap) swap(a, b int) {
@@ -103,13 +101,38 @@ func (h *minHeap) offer(item int64, score float32) {
 		h.up(len(h.items) - 1)
 		return
 	}
-	// Replace the root if the candidate is strictly better than the current
-	// k-th best (or equal with a smaller item id).
-	if score < h.scores[0] || (score == h.scores[0] && item > h.items[0]) {
+	if !ranks(score, item, h.scores[0], h.items[0]) {
 		return
 	}
 	h.items[0], h.scores[0] = item, score
 	h.down(0)
+}
+
+// offerRun offers scores[i] as item first+i for every i, in ascending item
+// order, to a heap whose entries all have lower ids than first. Then a
+// candidate never wins a tie, so once the heap is full and its root is a
+// number (after which it holds no NaN: NaN ranks last, so one would be the
+// root) the test per candidate is the single compare s > root, false for
+// NaN candidates too.
+func (h *minHeap) offerRun(first int64, scores []float32) {
+	if h.cap == 0 {
+		return
+	}
+	i := 0
+	for ; i < len(scores) && (len(h.items) < h.cap || h.scores[0] != h.scores[0]); i++ {
+		h.offer(first+int64(i), scores[i])
+	}
+	if i == len(scores) {
+		return
+	}
+	root := h.scores[0]
+	for ; i < len(scores); i++ {
+		if s := scores[i]; s > root {
+			h.items[0], h.scores[0] = first+int64(i), s
+			h.down(0)
+			root = h.scores[0]
+		}
+	}
 }
 
 func (h *minHeap) up(i int) {
@@ -141,11 +164,10 @@ func (h *minHeap) down(i int) {
 	}
 }
 
-// drainDescending empties the heap into a slice sorted from best to worst.
-func (h *minHeap) drainDescending() []Result {
-	n := len(h.items)
-	out := make([]Result, n)
-	for i := n - 1; i >= 0; i-- {
+// drainDescending empties the heap into out, which has one element per heap
+// entry, sorted from best to worst.
+func (h *minHeap) drainDescending(out []Result) []Result {
+	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = Result{Item: h.items[0], Score: h.scores[0]}
 		last := len(h.items) - 1
 		h.swap(0, last)
@@ -154,38 +176,4 @@ func (h *minHeap) drainDescending() []Result {
 		h.down(0)
 	}
 	return out
-}
-
-// Sharded scores the catalog in shards and merges per-shard top-k results.
-// It is the building block for the sampled-shard serving mode used with very
-// large catalogs on simulated accelerators (see internal/device): scoring a
-// shard preserves the code path and result shape of full-catalog MIPS while
-// bounding real compute.
-func Sharded(items, query *tensor.Tensor, k, shardSize int) []Result {
-	if shardSize <= 0 {
-		panic(fmt.Sprintf("topk: non-positive shard size %d", shardSize))
-	}
-	c := items.Dim(0)
-	h := newMinHeap(min(k, c))
-	buf := tensor.New(min(shardSize, c))
-	for from := 0; from < c; from += shardSize {
-		to := min(from+shardSize, c)
-		shard := items.Rows(from, to)
-		dst := buf
-		if to-from != buf.Dim(0) {
-			dst = tensor.New(to - from)
-		}
-		tensor.MatVecInto(dst, shard, query)
-		for i, s := range dst.Data() {
-			h.offer(int64(from+i), s)
-		}
-	}
-	return h.drainDescending()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,6 +54,58 @@ func TestTiesBrokenByLowerItemID(t *testing.T) {
 	}
 }
 
+// One order everywhere: NaN ranks below every number, ties (and NaNs among
+// themselves) go to the lower id. The old heap let a NaN candidate evict the
+// k-th best and then lose its place to the next candidate, however poor:
+// the first case returned 5, 4, 1.
+func TestNaNRanksBelowEveryNumber(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	cases := []struct {
+		name   string
+		scores []float32
+		k      int
+		want   []int64
+	}{
+		{"nan between numbers", []float32{5, 4, 3, nan, 1}, 3, []int64{0, 1, 2}},
+		{"nan first", []float32{nan, 1, 2, 3}, 2, []int64{3, 2}},
+		{"nan while filling", []float32{nan, nan, 7, 8}, 3, []int64{3, 2, 0}},
+		{"nan below -inf", []float32{nan, -inf, nan}, 2, []int64{1, 0}},
+		{"all nan", []float32{nan, nan, nan}, 2, []int64{0, 1}},
+		{"k covers the nans", []float32{1, nan, 2, nan}, 4, []int64{2, 0, 1, 3}},
+		{"numbers after a full nan heap", []float32{nan, nan, 1, nan, 2, 0}, 2, []int64{4, 2}},
+	}
+	for _, tc := range cases {
+		check := func(path string, got []Result) {
+			t.Helper()
+			if len(got) != len(tc.want) {
+				t.Fatalf("%s/%s: %d results, want %d", tc.name, path, len(got), len(tc.want))
+			}
+			for i, id := range tc.want {
+				if got[i].Item != id || !sameScore(got[i].Score, tc.scores[id]) {
+					t.Fatalf("%s/%s: got %v, want items %v", tc.name, path, got, tc.want)
+				}
+			}
+		}
+		check("select", SelectFromScores(tc.scores, tc.k))
+		// The same scores as a C×1 catalog against the query [1].
+		items := tensor.FromSlice(tc.scores, len(tc.scores), 1)
+		one := tensor.FromSlice([]float32{1}, 1)
+		check("scan", Scan(items, one, tc.k, 0, len(tc.scores)))
+		for _, n := range []int{1, 2, 3} {
+			s := Scanner{forceRanges: n}
+			check(fmt.Sprintf("topk/%d", n), s.TopK(items, one, tc.k))
+		}
+		for shards := 1; shards <= len(tc.scores); shards++ {
+			check(fmt.Sprintf("merge/%d", shards), MergePartial(splitScores(tc.scores, shards, tc.k), tc.k))
+		}
+	}
+}
+
+// sameScore is bit equality, with any NaN equal to any NaN.
+func sameScore(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
 func TestHeapMatchesSortBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -89,40 +143,6 @@ func TestTopKUsesInnerProduct(t *testing.T) {
 	if got[1].Score != 1 {
 		t.Fatalf("second score = %v, want 1", got[1].Score)
 	}
-}
-
-func TestShardedMatchesFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c, d, k := 337, 8, 10
-	items := tensor.New(c, d)
-	for i := range items.Data() {
-		items.Data()[i] = float32(rng.NormFloat64())
-	}
-	query := tensor.New(d)
-	for i := range query.Data() {
-		query.Data()[i] = float32(rng.NormFloat64())
-	}
-	full := TopK(items, query, k)
-	for _, shardSize := range []int{1, 7, 64, 337, 1000} {
-		sharded := Sharded(items, query, k, shardSize)
-		if len(sharded) != len(full) {
-			t.Fatalf("shardSize %d: len %d != %d", shardSize, len(sharded), len(full))
-		}
-		for i := range full {
-			if sharded[i].Item != full[i].Item {
-				t.Fatalf("shardSize %d pos %d: %+v != %+v", shardSize, i, sharded[i], full[i])
-			}
-		}
-	}
-}
-
-func TestShardedBadShardSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic for shardSize 0")
-		}
-	}()
-	Sharded(tensor.New(4, 2), tensor.New(2), 2, 0)
 }
 
 // Property: heap selection equals sort baseline for random inputs, the
