@@ -12,7 +12,7 @@ SCALE ?= test
 # or proc (real etude-server processes behind the local control plane).
 PODS ?= inproc
 
-.PHONY: build test bench vet race check perf reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
+.PHONY: build test bench vet race check procs perf reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
 
 # Process tests exec a real etude-server; build it once here so every test
 # package shares one binary instead of each invoking `go build`.
@@ -66,6 +66,13 @@ check: bin/etude-server bin/etude
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
+
+# Process hygiene: exits 1, naming them, if any process other than the
+# caller has its working directory or executable inside the repository —
+# a server, test binary or benchmark run that outlived its command. Run it
+# last, after builds, tests and benchmarks have returned.
+procs:
+	@bash scripts/procs.sh
 
 # The repository's benchmark (BENCHMARK.json): absolute wall-clock numbers
 # for one workload, or all four when WORKLOAD is unset, e.g.

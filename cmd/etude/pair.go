@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"etude/internal/bench"
+	"etude/internal/leakcheck"
 )
 
 // pairRecord is one line of .bench_build/pairs-<workload>.jsonl: one run of
@@ -168,17 +169,27 @@ func exportRevision(ctx context.Context, rev string) (string, error) {
 }
 
 // runPerf runs the benchmark command of the tree at dir in the foreground,
-// in its own process group so that cancelling kills the build and the run
-// alike, and returns the contract line: the last line of its output.
+// in a session of its own so that cancelling kills the build and the run
+// alike, and returns the contract line: the last line of its output. A
+// process still alive in that session once the command has been waited for
+// is killed, and the run fails naming it: a pair must leave nothing behind.
 func runPerf(ctx context.Context, dir, workload string, seed int64, seconds int) ([]byte, error) {
 	cmd := exec.CommandContext(ctx, "bash", "perf/run.sh", "--workload", workload,
 		"--seed", strconv.FormatInt(seed, 10), "--seconds", strconv.Itoa(seconds), "--trace", "0")
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
-	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setsid: true}
 	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	cmd.WaitDelay = 5 * time.Second
 	out, err := cmd.Output()
+	if cmd.Process != nil {
+		if survivors := leakcheck.SessionSurvivors(cmd.Process.Pid); len(survivors) > 0 {
+			for _, pid := range survivors {
+				_ = syscall.Kill(pid, syscall.SIGKILL)
+			}
+			return nil, fmt.Errorf("perf/run.sh in %s left processes running: pids %v (killed)", dir, survivors)
+		}
+	}
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	last := lines[len(lines)-1]
 	if err != nil && !bytes.HasPrefix(last, []byte("{")) {

@@ -151,14 +151,22 @@ func breakdownCell(cfg BreakdownConfig, name string, catalog int) (BreakdownRow,
 		row.Stages = append(row.Stages, BreakdownStage{
 			Stage: s.String(), Count: snap.Count, P50: snap.P50, P99: snap.P99,
 		})
-		row.StageSumP50 += snap.P50
 	}
 	total := tr.TotalSnapshot()
 	row.TotalP50, row.TotalP99 = total.P50, total.P99
-	if total.P50 > 0 {
-		row.ReconcileErr = math.Abs(float64(row.StageSumP50)/float64(total.P50) - 1)
-	}
+	row.reconcile()
 	return row, nil
+}
+
+// reconcile sets StageSumP50 and ReconcileErr from Stages and TotalP50.
+func (row *BreakdownRow) reconcile() {
+	row.StageSumP50 = 0
+	for _, st := range row.Stages {
+		row.StageSumP50 += st.P50
+	}
+	if row.TotalP50 > 0 {
+		row.ReconcileErr = math.Abs(float64(row.StageSumP50)/float64(row.TotalP50) - 1)
+	}
 }
 
 // Render prints one stage table per cell with the stage-sum vs end-to-end

@@ -90,3 +90,47 @@ func parsePPid(status string) int {
 	}
 	return -1
 }
+
+// SessionSurvivors lists the live processes of session sid: after the
+// leader of a session it started with Setsid has been waited for, a
+// supervisor calls it to find what the run left behind. A process
+// re-parented to PID 1 keeps its session, so this finds what a scan of
+// direct children misses. Zombies are left out (their parent reaps them),
+// and on platforms without /proc the list is empty.
+func SessionSurvivors(sid int) []int {
+	entries, err := os.ReadDir("/proc")
+	if err != nil {
+		return nil
+	}
+	var out []int
+	for _, e := range entries {
+		pid, err := strconv.Atoi(e.Name())
+		if err != nil {
+			continue
+		}
+		stat, err := os.ReadFile(filepath.Join("/proc", e.Name(), "stat"))
+		if err != nil {
+			continue
+		}
+		if state, session, ok := parseStat(string(stat)); ok && session == sid && state != "Z" {
+			out = append(out, pid)
+		}
+	}
+	return out
+}
+
+// parseStat returns the state and session fields of a /proc/<pid>/stat
+// line: "pid (comm) state ppid pgrp session ...", where comm may itself
+// hold spaces and parentheses, so the fields are counted from the last ')'.
+func parseStat(stat string) (state string, session int, ok bool) {
+	i := strings.LastIndexByte(stat, ')')
+	if i < 0 {
+		return "", 0, false
+	}
+	f := strings.Fields(stat[i+1:])
+	if len(f) < 4 {
+		return "", 0, false
+	}
+	session, err := strconv.Atoi(f[3])
+	return f[0], session, err == nil
+}

@@ -76,7 +76,8 @@ func addPositions(x, pos *tensor.Tensor) {
 	seqLen, dim := x.Dim(0), x.Dim(1)
 	for t := 0; t < seqLen; t++ {
 		row := x.Data()[t*dim : (t+1)*dim]
-		prow := pos.Row(t % pos.Dim(0)).Data()
+		p := t % pos.Dim(0)
+		prow := pos.Data()[p*dim : (p+1)*dim]
 		for c := range row {
 			row[c] += prow[c]
 		}

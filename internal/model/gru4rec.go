@@ -63,34 +63,26 @@ func (m *GRU4Rec) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 	return m.proj.ForwardVec(states.Row(len(session) - 1))
 }
 
-// CompiledRecommend implements JITCompilable: GRU weights are pre-transposed
-// once and all per-step buffers are reused, eliminating the per-request
-// allocations of the eager path.
+// CompiledRecommend implements JITCompilable: the GRU and the projection
+// run with weights transposed once, and every per-step buffer is the plan's,
+// grown to the longest session seen.
 func (m *GRU4Rec) CompiledRecommend() func(session []int64) []topk.Result {
 	d := m.cfg.Dim
-	cell := m.gru.Cells[0]
-	wiT := tensor.Transpose(cell.Wi)
-	whT := tensor.Transpose(cell.Wh)
-	projT := tensor.Transpose(m.proj.Weight)
-	h := tensor.New(d)
-	hNext := tensor.New(d)
-	gi := tensor.New(3 * d)
-	gh := tensor.New(3 * d)
+	gru, proj := m.gru.Plan(), m.proj.PlanVec()
+	var x, states []float32
 	rep := tensor.New(d)
 	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
 		session = truncate(session, m.cfg.MaxSessionLen)
-		if len(session) == 0 {
+		n := len(session)
+		if n == 0 {
 			rep.Zero()
 			return scorer(rep)
 		}
-		h.Zero()
-		for _, id := range session {
-			cell.StepInto(hNext, m.emb.Weight.Row(int(id)), h, wiT, whT, gi, gh)
-			h.CopyFrom(hNext)
-		}
-		tensor.MatVecInto(rep, projT, h)
-		rep.AddInPlace(m.proj.Bias)
+		x, states = tensor.Grow(x, n*d), tensor.Grow(states, n*d)
+		m.emb.LookupInto(x, session)
+		gru.Forward(states, x)
+		proj.Into(rep.Data(), states[(n-1)*d:])
 		return scorer(rep)
 	}
 }

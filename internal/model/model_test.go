@@ -472,19 +472,3 @@ func TestGoldenRecommendations(t *testing.T) {
 		}
 	}
 }
-
-// TestCompiledPlanAllocations: a compiled gru4rec plan made 23 allocations
-// per request when its scorer built a heap per call; with the scan scratch
-// kept by the plan, only the returned list is left of the scorer's three.
-func TestCompiledPlanAllocations(t *testing.T) {
-	m, err := New("gru4rec", Config{CatalogSize: 5000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := m.(JITCompilable).CompiledRecommend()
-	session := []int64{3, 17, 42, 9, 65}
-	plan(session)
-	if got := testing.AllocsPerRun(100, func() { plan(session) }); got > 21 {
-		t.Errorf("compiled gru4rec plan: %v allocations per request, want at most 21", got)
-	}
-}

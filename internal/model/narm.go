@@ -75,12 +75,33 @@ func (m *NARM) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 	return m.bili.ForwardVec(tensor.Concat(global.Clone(), local))
 }
 
-// CompiledRecommend implements JITCompilable: the eager encoder is wrapped
-// with a pre-transposed decoder and a reusable score buffer.
+// CompiledRecommend implements JITCompilable: the GRU, the attention's
+// query projection and the decoder run with weights transposed once, into
+// buffers the plan keeps and grows to the longest session seen.
 func (m *NARM) CompiledRecommend() func(session []int64) []topk.Result {
+	d := m.cfg.Dim
+	gru, attn, bili := m.gru.Plan(), m.attn.Plan(), m.bili.PlanVec()
+	var x, states, w []float32
+	var statesT tensor.Tensor
+	concat, rep := make([]float32, 2*d), tensor.New(d)
 	scorer := m.compiledScorer()
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		session = truncate(session, m.cfg.MaxSessionLen)
+		n := len(session)
+		if n == 0 {
+			rep.Zero()
+			return scorer(rep)
+		}
+		x, states, w = tensor.Grow(x, n*d), tensor.Grow(states, n*d), tensor.Grow(w, n)
+		m.emb.LookupInto(x, session)
+		gru.Forward(states, x)
+		statesT.Bind(states, n, d)
+		last := states[(n-1)*d:]
+		attn.WeightsInto(w, last, &statesT)
+		copy(concat[:d], last)
+		nn.ApplyInto(concat[d:], w, &statesT)
+		bili.Into(rep.Data(), concat)
+		return scorer(rep)
 	}
 }
 

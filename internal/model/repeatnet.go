@@ -116,11 +116,63 @@ func (m *RepeatNet) scatterDense(catalog *tensor.Tensor, session []int64, repSco
 	catalog.AddInPlace(dense)
 }
 
-// CompiledRecommend implements JITCompilable; the repeat/explore merge is
-// kept but buffers are reused.
+// CompiledRecommend implements JITCompilable: Recommend with the GRU, the
+// attention query projections and the decoders' weights transposed once,
+// and every buffer up to the C-length score vector kept by the plan. The
+// faithful variant's dense scatter still allocates its [C, L] matrix.
 func (m *RepeatNet) CompiledRecommend() func(session []int64) []topk.Result {
+	d := m.cfg.Dim
+	gru, repAttn, expAttn := m.gru.Plan(), m.repAttn.Plan(), m.expAttn.Plan()
+	gate, exploreOut := m.gate.PlanVec(), m.exploreOut.PlanVec()
+	var x, states, gw, rs []float32
+	var xT, statesT, gwT, repScores tensor.Tensor
+	concat, mixed := make([]float32, 2*d), make([]float32, d)
+	gateLogits, exploreRep := tensor.New(2), tensor.New(d)
+	exploreScores := tensor.New(m.cfg.CatalogSize)
 	return func(session []int64) []topk.Result {
-		return m.Recommend(session)
+		session = truncate(session, m.cfg.MaxSessionLen)
+		n := len(session)
+		if n == 0 {
+			return m.score(m.zeroRep())
+		}
+		x, states = tensor.Grow(x, n*d), tensor.Grow(states, n*d)
+		gw, rs = tensor.Grow(gw, n), tensor.Grow(rs, n)
+		xT.Bind(x, n, d)
+		statesT.Bind(states, n, d)
+		gwT.Bind(gw, n)
+		repScores.Bind(rs, n)
+		m.emb.LookupInto(x, session)
+		gru.Forward(states, x)
+		last := states[(n-1)*d:]
+
+		// Repeat/explore discriminator from [attended; last].
+		repAttn.WeightsInto(gw, last, &statesT)
+		gwT.Softmax()
+		nn.ApplyInto(concat[:d], gw, &statesT)
+		copy(concat[d:], last)
+		gate.Into(gateLogits.Data(), concat)
+		gateLogits.Softmax()
+		pRepeat, pExplore := gateLogits.At(0), gateLogits.At(1)
+
+		// Repeat decoder: attention distribution over the session's own items.
+		repAttn.WeightsInto(rs, last, &xT)
+		repScores.Softmax()
+
+		// Explore decoder: full-catalog scores from the projected session rep.
+		expAttn.WeightsInto(gw, last, &statesT)
+		gwT.Softmax()
+		nn.ApplyInto(mixed, gw, &statesT)
+		exploreOut.Into(exploreRep.Data(), mixed)
+		tensor.MatVecInto(exploreScores, m.emb.Weight, exploreRep)
+		exploreScores.Softmax()
+		exploreScores.ScaleInPlace(pExplore)
+
+		if m.cfg.Faithful {
+			m.scatterDense(exploreScores, session, &repScores, pRepeat)
+		} else {
+			scatterSparse(exploreScores, session, &repScores, pRepeat)
+		}
+		return topk.SelectFromScores(exploreScores.Data(), m.cfg.TopK)
 	}
 }
 

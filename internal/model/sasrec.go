@@ -93,11 +93,28 @@ func (m *SASRec) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 	return x.Row(len(session) - 1).Clone()
 }
 
-// CompiledRecommend implements JITCompilable.
+// CompiledRecommend implements JITCompilable: the forward pass runs out of
+// the plan's blockWorkspace, and the representation is read in place from
+// the residual stream's last row.
 func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
 	scorer := m.compiledScorer()
+	d, zero := m.cfg.Dim, m.zeroRep()
+	var ws blockWorkspace
+	var rep tensor.Tensor
 	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
+		session = truncate(session, m.cfg.MaxSessionLen)
+		n := len(session)
+		if n == 0 {
+			return scorer(zero)
+		}
+		x := ws.bind(n, d)
+		m.emb.LookupInto(x.Data(), session)
+		addPositions(x, m.pos)
+		for _, b := range m.blocks {
+			b.forwardInto(&ws, x, true)
+		}
+		rep.Bind(x.Data()[(n-1)*d:], d)
+		return scorer(&rep)
 	}
 }
 

@@ -30,19 +30,41 @@ func NewMultiHeadAttention(in *Initializer, dim, heads int) *MultiHeadAttention 
 	}
 }
 
+// AttentionBuffers are the intermediates of one MultiHeadAttention pass
+// over seqLen positions: Q, K, V and Out are [seqLen, dim], Scores is
+// [seqLen, seqLen]. None may alias another or the pass's input or output.
+type AttentionBuffers struct {
+	Q, K, V, Out, Scores *tensor.Tensor
+}
+
 // Forward computes self-attention over x ([seqLen, dim]). If causal is true,
 // position i attends only to positions ≤ i (the SASRec masking).
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, causal bool) *tensor.Tensor {
 	seqLen := x.Dim(0)
-	q := a.WQ.Forward(x)
-	k := a.WK.Forward(x)
-	v := a.WV.Forward(x)
+	out := tensor.New(seqLen, a.dim)
+	a.ForwardInto(out, x, causal, &AttentionBuffers{
+		Q:      tensor.New(seqLen, a.dim),
+		K:      tensor.New(seqLen, a.dim),
+		V:      tensor.New(seqLen, a.dim),
+		Out:    tensor.New(seqLen, a.dim),
+		Scores: tensor.New(seqLen, seqLen),
+	})
+	return out
+}
+
+// ForwardInto is Forward into dst ([seqLen, dim]) through the buffers b.
+// dst may alias x: x is read only by the Q, K and V projections, before dst
+// is written.
+func (a *MultiHeadAttention) ForwardInto(dst, x *tensor.Tensor, causal bool, b *AttentionBuffers) {
+	seqLen := x.Dim(0)
+	q, k, v, out, scores := b.Q, b.K, b.V, b.Out, b.Scores
+	a.WQ.ForwardInto(q, x)
+	a.WK.ForwardInto(k, x)
+	a.WV.ForwardInto(v, x)
+	out.Zero()
 
 	headDim := a.dim / a.Heads
 	scale := float32(1 / math.Sqrt(float64(headDim)))
-	out := tensor.New(seqLen, a.dim)
-
-	scores := tensor.New(seqLen, seqLen)
 	for h := 0; h < a.Heads; h++ {
 		off := h * headDim
 		// scores[i][j] = q_i · k_j over this head's slice.
@@ -75,7 +97,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, causal bool) *tensor.Tens
 			}
 		}
 	}
-	return a.WO.Forward(out)
+	a.WO.ForwardInto(dst, out)
 }
 
 // LowRankAttention implements the LightSANs-style low-rank decomposed
@@ -143,33 +165,73 @@ func NewAdditiveAttention(in *Initializer, dim int) *AdditiveAttention {
 // Weights returns the unnormalised attention scores of query against each
 // row of states ([seqLen, dim]).
 func (a *AdditiveAttention) Weights(query *tensor.Tensor, states *tensor.Tensor) *tensor.Tensor {
-	seqLen := states.Dim(0)
-	wq := a.W1.ForwardVec(query)
-	ws := a.W2.Forward(states)
-	out := tensor.New(seqLen)
-	for t := 0; t < seqLen; t++ {
-		row := ws.Row(t).Clone()
-		row.AddInPlace(wq)
-		row.Sigmoid()
-		out.Data()[t] = tensor.Dot(a.V.Data(), row.Data())
-	}
+	out := tensor.New(states.Dim(0))
+	a.score(out.Data(), a.W1.ForwardVec(query).Data(), a.W2.Forward(states))
 	return out
+}
+
+// score writes vᵀ·σ(wq + ws_t) for every row t of the projected states ws
+// into dst, overwriting ws on the way.
+func (a *AdditiveAttention) score(dst, wq []float32, ws *tensor.Tensor) {
+	d := ws.Dim(1)
+	for t := range dst {
+		row := ws.Data()[t*d : (t+1)*d]
+		for i, v := range wq {
+			row[i] += v
+		}
+	}
+	ws.Sigmoid()
+	for t := range dst {
+		dst[t] = tensor.Dot(a.V.Data(), ws.Data()[t*d:(t+1)*d])
+	}
+}
+
+// AdditivePlan is Weights compiled for repeated calls: W1 transposed once
+// (ForwardVec transposes it per call) and the projections written to
+// scratch the plan keeps, grown to the longest states seen. Build it when a
+// plan is compiled, not with the layer: LoadWeights overwrites weights in
+// place. An AdditivePlan serves one call at a time.
+type AdditivePlan struct {
+	a      *AdditiveAttention
+	w1     VecPlan
+	wq, ws []float32
+	proj   tensor.Tensor
+}
+
+// Plan compiles the attention.
+func (a *AdditiveAttention) Plan() *AdditivePlan {
+	return &AdditivePlan{a: a, w1: a.W1.PlanVec(), wq: make([]float32, a.W1.Weight.Dim(1))}
+}
+
+// WeightsInto writes Weights(query, states) into dst (length seqLen).
+func (p *AdditivePlan) WeightsInto(dst, query []float32, states *tensor.Tensor) {
+	n, d := states.Dim(0), p.a.W2.Weight.Dim(1)
+	p.w1.Into(p.wq, query)
+	p.ws = tensor.Grow(p.ws, n*d)
+	p.proj.Bind(p.ws, n, d)
+	p.a.W2.ForwardInto(&p.proj, states)
+	p.a.score(dst[:n], p.wq, &p.proj)
 }
 
 // Apply returns the weighted sum of states by the (already normalised or
 // unnormalised) weights w: Σ_t w_t · states_t.
 func Apply(w, states *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(states.Dim(1))
+	ApplyInto(out.Data(), w.Data(), states)
+	return out
+}
+
+// ApplyInto is Apply into dst (length dim).
+func ApplyInto(dst, w []float32, states *tensor.Tensor) {
 	dim := states.Dim(1)
-	out := tensor.New(dim)
-	oD := out.Data()
+	clear(dst)
 	for t := 0; t < states.Dim(0); t++ {
-		wt := w.Data()[t]
+		wt := w[t]
 		row := states.Data()[t*dim : (t+1)*dim]
-		for c := range oD {
-			oD[c] += wt * row[c]
+		for c := range dst {
+			dst[c] += wt * row[c]
 		}
 	}
-	return out
 }
 
 func exp32(v float32) float32 {

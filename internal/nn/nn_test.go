@@ -127,19 +127,79 @@ func TestGRUCellStepProperties(t *testing.T) {
 	}
 }
 
-func TestGRUCellStepIntoMatchesStep(t *testing.T) {
-	in := NewInitializer(6)
-	cell := NewGRUCell(in, 4, 5)
-	x := in.Normal(1, 4)
-	h := in.Normal(0.5, 5)
-	want := cell.Step(x, h)
+// sameBits fails unless got and want hold the same float32 bits.
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: value %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
 
-	wiT := tensor.Transpose(cell.Wi)
-	whT := tensor.Transpose(cell.Wh)
-	dst := tensor.New(5)
-	cell.StepInto(dst, x, h, wiT, whT, tensor.New(15), tensor.New(15))
-	if !dst.AllClose(want, 1e-6) {
-		t.Fatalf("StepInto disagrees with Step: %v vs %v", dst.Data(), want.Data())
+// TestGRUPlanMatchesForward: the compiled stack equals GRU.Forward bit for
+// bit, single and stacked, and on a reused plan after a longer sequence.
+func TestGRUPlanMatchesForward(t *testing.T) {
+	in := NewInitializer(6)
+	for _, layers := range []int{1, 2} {
+		g := NewGRU(in, 4, 5, layers)
+		p := g.Plan()
+		for _, n := range []int{7, 1, 3} {
+			x := in.Normal(1, n, 4)
+			states := make([]float32, n*5)
+			p.Forward(states, x.Data())
+			sameBits(t, "GRUPlan.Forward", states, g.Forward(x).Data())
+		}
+	}
+}
+
+// TestDestinationFormsMatchAllocatingForms holds every Into form to the
+// allocating form it replaces on a compiled path, bit for bit, including
+// the in-place aliasing the transformer workspace relies on.
+func TestDestinationFormsMatchAllocatingForms(t *testing.T) {
+	in := NewInitializer(15)
+	x := in.Normal(1, 6, 8)
+
+	l := NewLinear(in, 8, 3)
+	l.Bias = in.Normal(1, 3)
+	vec := make([]float32, 3)
+	l.PlanVec().Into(vec, x.Row(2).Data())
+	sameBits(t, "VecPlan.Into", vec, l.ForwardVec(x.Row(2)).Data())
+
+	ln := NewLayerNorm(in, 8)
+	ln.Gamma, ln.Beta = in.Normal(1, 8), in.Normal(1, 8)
+	y := x.Clone()
+	ln.ForwardInto(y, y)
+	sameBits(t, "LayerNorm.ForwardInto in place", y.Data(), ln.Forward(x).Data())
+
+	ff := NewFeedForward(in, 8, 32)
+	y = x.Clone()
+	ff.ForwardInto(y, y, tensor.New(6, 32))
+	sameBits(t, "FeedForward.ForwardInto in place", y.Data(), ff.Forward(x).Data())
+
+	mha := NewMultiHeadAttention(in, 8, 2)
+	for _, causal := range []bool{false, true} {
+		y = x.Clone()
+		b := &AttentionBuffers{Q: tensor.Full(9, 6, 8), K: tensor.Full(9, 6, 8), V: tensor.Full(9, 6, 8),
+			Out: tensor.Full(9, 6, 8), Scores: tensor.Full(9, 6, 6)} // stale values must not leak
+		mha.ForwardInto(y, y, causal, b)
+		sameBits(t, "MultiHeadAttention.ForwardInto in place", y.Data(), mha.Forward(x, causal).Data())
+	}
+
+	aa := NewAdditiveAttention(in, 8)
+	p := aa.Plan()
+	for _, n := range []int{6, 2, 6} {
+		states := x.Rows(0, n)
+		w := make([]float32, n)
+		p.WeightsInto(w, x.Row(5).Data(), states)
+		want := aa.Weights(x.Row(5), states)
+		sameBits(t, "AdditivePlan.WeightsInto", w, want.Data())
+		got := tensor.Full(7, 8)
+		ApplyInto(got.Data(), w, states)
+		sameBits(t, "ApplyInto", got.Data(), Apply(want, states).Data())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -511,4 +512,65 @@ func TestInFlightGauge(t *testing.T) {
 	if s.InFlight() != 0 {
 		t.Fatalf("idle InFlight = %d", s.InFlight())
 	}
+}
+
+// TestJITWorkspacesNotShared: each predictor-pool worker owns one compiled
+// plan and with it one workspace. Concurrent requests of mixed lengths on a
+// two-worker JIT server must each equal eager Recommend bit for bit; two
+// in-flight requests sharing a workspace would overwrite each other's rows.
+func TestJITWorkspacesNotShared(t *testing.T) {
+	m, err := model.New("sasrec", model.Config{CatalogSize: 300, Dim: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, Options{Workers: 2, JIT: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.JITActive() {
+		t.Fatal("JIT not active for sasrec")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				n := (c*17 + i*23) % 56
+				session := make([]int64, n)
+				for j := range session {
+					session[j] = int64((c*31 + i*7 + j*13) % 300)
+				}
+				body, _ := json.Marshal(httpapi.PredictRequest{Items: session})
+				resp, err := http.Post(ts.URL+httpapi.PredictPath, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out httpapi.PredictResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d: %v", resp.StatusCode, err)
+					return
+				}
+				want := m.Recommend(session)
+				if len(out.Items) != len(want) {
+					t.Errorf("session of %d: %d items, want %d", n, len(out.Items), len(want))
+					return
+				}
+				for k, r := range want {
+					if out.Items[k] != r.Item || math.Float32bits(out.Scores[k]) != math.Float32bits(r.Score) {
+						t.Errorf("session of %d, rank %d: served %d:%v, eager %d:%v", n, k, out.Items[k], out.Scores[k], r.Item, r.Score)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -42,6 +42,29 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
+// Bind points t at data with the given shape, as FromSlice does, but reuses
+// t's own header, so a workspace can carve one buffer into per-call views
+// without allocating. It panics if len(data) does not match the shape.
+func (t *Tensor) Bind(data []float32, shape ...int) {
+	// Only t.shape reaches checkShape and fmt, so shape does not escape and
+	// the call allocates nothing once t.shape has room.
+	t.shape = append(t.shape[:0], shape...)
+	if n := checkShape(t.shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), t.shape, n))
+	}
+	t.data = data
+}
+
+// Grow returns buf[:n] when buf has the capacity, and a new zeroed slice of
+// length n otherwise: the lazily grown scratch of a workspace. Values kept
+// from an earlier call are stale, so callers write before they read.
+func Grow(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	return buf[:n]
+}
+
 // Full returns a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
