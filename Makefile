@@ -47,7 +47,8 @@ race:
 # The merge gate (also run by CI): build + vet + full suite, plus the race
 # detector on the packages with real concurrency — the cluster lifecycle
 # (drain/scale/rolling-update/supervisor, the process runner and control
-# plane), the server's admission control, the load generator, the
+# plane), the server's admission control, the batching loop and the
+# multi-tenant scheduler it drives, the load generator, the
 # scatter-gather retrieval tier (goroutine fan-out, hedged sub-requests,
 # partial top-k merge, the partial-result policy and its group breakers),
 # the overload controllers (CoDel, AIMD limiter) hammered from many
@@ -64,7 +65,7 @@ check: bin/etude-server bin/etude
 	go build ./...
 	go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
-	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
+	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/batching ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
 
 # Process hygiene: exits 1, naming them, if any process other than the

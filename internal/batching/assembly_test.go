@@ -7,14 +7,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"etude/internal/sched"
 )
 
-// The Assembly policy is pure (explicit timestamps), so its flush-timing
-// semantics are tested under a virtual clock: plain time.Duration offsets,
-// no sleeping, no wall-clock flake.
+// The Assembly policy the loop applies (sched.Assembly) is pure (explicit
+// timestamps), so its flush-timing semantics are tested under a virtual
+// clock: plain time.Duration offsets, no sleeping, no wall-clock flake.
 
 func TestAssemblyFlushAtBoundedByInterval(t *testing.T) {
-	a := Assembly{MaxBatch: 8, FlushEvery: 2 * time.Millisecond}
+	a := sched.Assembly{MaxBatch: 8, FlushEvery: 2 * time.Millisecond}
 	if got := a.FlushAt(10*time.Millisecond, 0); got != 12*time.Millisecond {
 		t.Fatalf("FlushAt(no deadline) = %v, want oldest+FlushEvery = 12ms", got)
 	}
@@ -25,7 +27,7 @@ func TestAssemblyFlushAtBoundedByInterval(t *testing.T) {
 }
 
 func TestAssemblyFlushAtPulledEarlierByTightDeadline(t *testing.T) {
-	a := Assembly{MaxBatch: 8, FlushEvery: 2 * time.Millisecond}
+	a := sched.Assembly{MaxBatch: 8, FlushEvery: 2 * time.Millisecond}
 	// A member deadline inside the flush window pulls the flush to it:
 	// waiting the full interval would guarantee a dead entry.
 	if got := a.FlushAt(10*time.Millisecond, 11*time.Millisecond); got != 11*time.Millisecond {
@@ -40,7 +42,7 @@ func TestAssemblyFlushAtPulledEarlierByTightDeadline(t *testing.T) {
 }
 
 func TestAssemblyExpired(t *testing.T) {
-	a := Assembly{MaxBatch: 8, FlushEvery: time.Millisecond}
+	a := sched.Assembly{MaxBatch: 8, FlushEvery: time.Millisecond}
 	now := 10 * time.Millisecond
 	if a.Expired(0, now) {
 		t.Fatal("no-deadline entry reported expired")
@@ -61,7 +63,7 @@ func TestAssemblyExpired(t *testing.T) {
 func TestAssemblyNeverWaitsPastTightestDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 2000; trial++ {
-		a := Assembly{
+		a := sched.Assembly{
 			MaxBatch:      64,
 			FlushEvery:    2 * time.Millisecond,
 			DeadlineSlack: time.Duration(rng.Int63n(int64(time.Millisecond))),
@@ -79,7 +81,7 @@ func TestAssemblyNeverWaitsPastTightestDeadline(t *testing.T) {
 				deadline[i] = cur + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
 			}
 		}
-		// Fold the buffer the way the dispatcher does: shrink-only.
+		// Fold the buffer the way sched.Core.NextFlushAt does: a min.
 		flushAt := a.FlushAt(enq[0], deadline[0])
 		for i := 1; i < n; i++ {
 			if bound := a.FlushAt(enq[i], deadline[i]); bound < flushAt {
@@ -178,9 +180,10 @@ func TestBatcherCoalescedFlushAtSizeBound(t *testing.T) {
 // deadline is tighter than FlushEvery is served before that deadline —
 // the dispatcher pulls the flush to the tightest member deadline instead
 // of letting the entry die in the buffer. FlushEvery is an hour, so the
-// only way the request returns at all is the deadline-aware early flush.
+// only way the request returns at all is the deadline-aware early flush;
+// the 400ms slack leaves the flush that much headroom before the deadline.
 func TestBatcherFlushesEarlyForTightDeadline(t *testing.T) {
-	b, err := New(Config{MaxBatch: 100, FlushEvery: time.Hour}, func(batch []int) []int {
+	b, err := New(Config{MaxBatch: 100, FlushEvery: time.Hour, DeadlineSlack: 400 * time.Millisecond}, func(batch []int) []int {
 		return batch
 	})
 	if err != nil {
@@ -205,11 +208,14 @@ func TestBatcherFlushesEarlyForTightDeadline(t *testing.T) {
 func TestBatcherExpiredDropCounter(t *testing.T) {
 	var seen atomic.Int64
 	release := make(chan struct{})
-	first := make(chan struct{}, 1)
-	b, err := New(Config{MaxBatch: 8, FlushEvery: time.Hour}, func(batch []int) []int {
+	parked := make(chan struct{}, 1)
+	// An hour of deadline slack makes every deadline-bound flush immediate:
+	// the first request flushes alone however late the loop runs, and its
+	// minute-long budget cannot expire before it does.
+	b, err := New(Config{MaxBatch: 8, FlushEvery: time.Hour, DeadlineSlack: time.Hour}, func(batch []int) []int {
 		seen.Add(int64(len(batch)))
 		select {
-		case first <- struct{}{}:
+		case parked <- struct{}{}:
 			<-release // only the first flush parks the dispatcher
 		default:
 		}
@@ -220,19 +226,18 @@ func TestBatcherExpiredDropCounter(t *testing.T) {
 	}
 	defer b.Close()
 
-	// Park the dispatcher in a slow first flush (immediate: the request's
-	// budget is far tighter than the hour-long interval)...
-	go func() { _, _ = b.Submit(withBudget(t, 10*time.Millisecond), 1) }()
-	time.Sleep(5 * time.Millisecond)
-	// ...buffer a request whose deadline passes while the flush is stuck...
+	// Park the dispatcher in a slow first flush...
+	go func() { _, _ = b.Submit(withBudget(t, time.Minute), 1) }()
+	<-parked
+	// ...buffer a request whose deadline passes while the flush is stuck
+	// (its Submit returns once the caller's deadline fires)...
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	go func() { _, _ = b.Submit(ctx, 2) }()
-	time.Sleep(40 * time.Millisecond)
+	_, _ = b.Submit(ctx, 2)
 	// ...then release the dispatcher: the next flush must drop the dead
 	// entry without handing it to the handler.
 	close(release)
-	deadline := time.Now().Add(time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for b.ExpiredDrops() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

@@ -4,19 +4,24 @@
 // a batch handler when the maximum batch size is reached (paper setting:
 // 1,024 requests), the flush interval elapses (paper setting: two
 // milliseconds), or — new to this implementation — the tightest propagated
-// deadline among the buffered requests would otherwise pass. The flush
-// decision itself lives in Assembly so the multi-tenant scheduler
-// (internal/sched) and the discrete-event simulator apply the same policy.
+// deadline among the buffered requests would otherwise pass.
+//
+// The flush decision belongs to internal/sched (Core and its Assembly
+// policy); this package is the one wall-clock loop that drives it. The
+// plain FIFO batcher (New) is a one-tenant sched.Core, the multi-tenant
+// scheduler (NewTenants) the same loop over declared tenant queues, and
+// the discrete-event simulator drives the same Core from virtual time.
 package batching
 
 import (
 	"context"
 	"errors"
-	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"etude/internal/overload"
+	"etude/internal/sched"
 )
 
 // ErrClosed is returned by Submit after the batcher is shut down.
@@ -31,20 +36,10 @@ var ErrCoDelDropped = errors.New("batching: shed by CoDel queue discipline")
 // ErrDeadlineExpired is returned by Submit when the request's propagated
 // deadline passed while it sat in the buffer: the entry is dropped at
 // flush time instead of spending handler FLOPs on a response nobody is
-// waiting for. The caller should answer 504. It matches
-// errors.Is(err, context.DeadlineExceeded) so budget-generic callers need
-// no special case.
-var ErrDeadlineExpired error = deadlineExpiredError{}
-
-type deadlineExpiredError struct{}
-
-func (deadlineExpiredError) Error() string {
-	return "batching: deadline expired while buffered"
-}
-
-func (deadlineExpiredError) Is(target error) bool {
-	return target == context.DeadlineExceeded
-}
+// waiting for. The caller should answer 504. It is sched.ErrExpired, which
+// matches errors.Is(err, context.DeadlineExceeded) so budget-generic
+// callers need no special case.
+var ErrDeadlineExpired = sched.ErrExpired
 
 // Config controls batch formation.
 type Config struct {
@@ -52,11 +47,11 @@ type Config struct {
 	MaxBatch int
 	// FlushEvery flushes any non-empty buffer after this interval. A
 	// buffered request whose deadline is tighter than the interval pulls
-	// the flush earlier (see Assembly.FlushAt).
+	// the flush earlier (see sched.Assembly.FlushAt).
 	FlushEvery time.Duration
 	// DeadlineSlack is the headroom reserved before the tightest member
-	// deadline when pulling a flush early (see Assembly.DeadlineSlack).
-	// Zero picks a default of FlushEvery/4 capped at 5ms.
+	// deadline when pulling a flush early (see sched.Assembly). Zero picks
+	// a default of FlushEvery/4 capped at 5ms.
 	DeadlineSlack time.Duration
 	// CoDel, when set, sheds buffered requests whose sojourn time shows a
 	// standing queue (evaluated per entry at flush, in arrival order).
@@ -70,123 +65,133 @@ func DefaultConfig() Config {
 	return Config{MaxBatch: 1024, FlushEvery: 2 * time.Millisecond}
 }
 
-func (c Config) validate() error {
-	if c.MaxBatch < 1 {
-		return fmt.Errorf("batching: MaxBatch must be ≥ 1, got %d", c.MaxBatch)
-	}
-	if c.FlushEvery <= 0 {
-		return fmt.Errorf("batching: FlushEvery must be positive, got %v", c.FlushEvery)
-	}
-	return nil
-}
-
-// Assembly returns the batch-formation policy the config describes. A
-// zero DeadlineSlack defaults to FlushEvery/4 capped at 5ms — enough
-// headroom to dispatch before the deadline without noticeably shrinking
-// the batching window; negative disables the slack.
-func (c Config) Assembly() Assembly {
-	slack := c.DeadlineSlack
-	if slack == 0 {
-		slack = c.FlushEvery / 4
-		if slack > 5*time.Millisecond {
-			slack = 5 * time.Millisecond
-		}
-	}
-	if slack < 0 {
-		slack = 0
-	}
-	return Assembly{MaxBatch: c.MaxBatch, FlushEvery: c.FlushEvery, DeadlineSlack: slack}
-}
-
 // Handler processes one batch of requests and returns one response per
 // request, in order. It runs on the batcher's dispatch goroutine: at most
 // one batch is in flight at a time, which models an accelerator executing
 // one kernel sequence at a time.
 type Handler[Req, Resp any] func(batch []Req) []Resp
 
-// Batcher groups individual requests into batches. Create with New, submit
-// with Submit, and release resources with Close.
+// Batcher groups individual requests into batches. Create with New or
+// NewTenants, submit with Submit, and release resources with Close.
 type Batcher[Req, Resp any] struct {
-	cfg     Config
-	asm     Assembly
-	handler Handler[Req, Resp]
-	in      chan envelope[Req, Resp]
-	done    chan struct{}
-	pending atomic.Int64
-	expired atomic.Int64
-	// now is the batcher's monotonic clock (offsets from construction
-	// time); tests may swap it before the first Submit.
+	// mu guards core. Contention is one short critical section per
+	// enqueue and per flush — the handler runs outside the lock.
+	mu       sync.Mutex
+	core     *sched.Core[envelope[Req, Resp]]
+	tenantOf func(Req) string
+	codel    *overload.CoDel
+	handler  Handler[Req, Resp]
+	// now is the batcher's monotonic clock (offsets from construction).
 	now func() time.Duration
+	// kick wakes the dispatch goroutine when an arrival makes the buffer
+	// ready or tightens its flush instant (capacity 1: wake-ups coalesce).
+	kick    chan struct{}
+	done    chan struct{}
+	closed  sync.Once
+	pending atomic.Int64
 }
-
-// Pending returns the number of requests submitted but not yet answered —
-// the queue-depth signal graceful degradation watermarks consume.
-func (b *Batcher[Req, Resp]) Pending() int {
-	return int(b.pending.Load())
-}
-
-// ExpiredDrops returns how many buffered requests were dropped at flush
-// because their deadline had already passed.
-func (b *Batcher[Req, Resp]) ExpiredDrops() int64 { return b.expired.Load() }
 
 type envelope[Req, Resp any] struct {
-	req Req
-	ctx context.Context
-	enq time.Duration
-	// deadline is the request's absolute deadline on the batcher's clock
-	// (zero = none), captured at Submit so the flush path can drop dead
-	// entries without touching the context.
-	deadline time.Duration
-	reply    chan result[Resp]
+	req   Req
+	ctx   context.Context
+	enq   time.Duration
+	reply chan result[Resp]
 }
 
 // result carries either a response or the reason the batcher refused to
-// compute one (expired deadline, cancelled context, CoDel shed, short
-// handler reply).
+// compute one (expired deadline, cancelled context, CoDel shed).
 type result[Resp any] struct {
 	resp Resp
 	err  error
 }
 
-// New starts a batcher that feeds handler. Close must be called to stop the
-// dispatch goroutine.
+// New starts a plain FIFO batcher that feeds handler: the one-tenant case
+// of NewTenants, flushing at MaxBatch with no queue bound. Close must be
+// called to stop the dispatch goroutine.
 func New[Req, Resp any](cfg Config, handler Handler[Req, Resp]) (*Batcher[Req, Resp], error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+	return NewTenants(sched.Config{MaxBatch: cfg.MaxBatch, FlushEvery: cfg.FlushEvery, DeadlineSlack: cfg.DeadlineSlack}, cfg.CoDel, nil, handler)
+}
+
+// NewTenants starts a batcher whose buffer is the multi-tenant scheduler
+// cfg describes: tenantOf names each request's queue (nil queues every
+// request under sched.DefaultTenant), and codel, when non-nil, sheds
+// standing-queue entries at flush. Close must be called to stop the
+// dispatch goroutine.
+func NewTenants[Req, Resp any](cfg sched.Config, codel *overload.CoDel, tenantOf func(Req) string, handler Handler[Req, Resp]) (*Batcher[Req, Resp], error) {
 	if handler == nil {
 		return nil, errors.New("batching: nil handler")
 	}
+	core, err := sched.NewCore[envelope[Req, Resp]](cfg)
+	if err != nil {
+		return nil, err
+	}
 	epoch := time.Now()
 	b := &Batcher[Req, Resp]{
-		cfg:     cfg,
-		asm:     cfg.Assembly(),
-		handler: handler,
-		in:      make(chan envelope[Req, Resp], cfg.MaxBatch),
-		done:    make(chan struct{}),
-		now:     func() time.Duration { return time.Since(epoch) },
+		core:     core,
+		tenantOf: tenantOf,
+		codel:    codel,
+		handler:  handler,
+		now:      func() time.Duration { return time.Since(epoch) },
+		kick:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	go b.dispatch()
 	return b, nil
 }
 
+// Pending returns the number of requests submitted but not yet answered —
+// the queue-depth signal graceful degradation watermarks consume.
+func (b *Batcher[Req, Resp]) Pending() int { return int(b.pending.Load()) }
+
+// Stats snapshots every tenant queue's scheduling counters.
+func (b *Batcher[Req, Resp]) Stats() []sched.TenantStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.core.Stats()
+}
+
+// ExpiredDrops returns how many buffered requests were dropped at flush
+// because their deadline had already passed.
+func (b *Batcher[Req, Resp]) ExpiredDrops() (n int64) {
+	for _, st := range b.Stats() {
+		n += st.Expired
+	}
+	return n
+}
+
 // Submit enqueues one request and blocks until its response is available,
-// the context is cancelled, the request is dropped at flush (expired
-// deadline or CoDel shed), or the batcher is closed.
+// its tenant queue sheds it (sched.ErrShed), the context is done, the
+// request is dropped at flush (expired deadline or CoDel shed), or the
+// batcher is closed.
 func (b *Batcher[Req, Resp]) Submit(ctx context.Context, req Req) (Resp, error) {
 	var zero Resp
-	b.pending.Add(1)
-	defer b.pending.Add(-1)
-	env := envelope[Req, Resp]{req: req, ctx: ctx, enq: b.now(), reply: make(chan result[Resp], 1)}
-	if dl, ok := ctx.Deadline(); ok {
-		env.deadline = env.enq + time.Until(dl)
-	}
 	select {
-	case b.in <- env:
-	case <-ctx.Done():
-		return zero, ctx.Err()
 	case <-b.done:
 		return zero, ErrClosed
+	default:
+	}
+	var tenant string
+	if b.tenantOf != nil {
+		tenant = b.tenantOf(req)
+	}
+	env := envelope[Req, Resp]{req: req, ctx: ctx, reply: make(chan result[Resp], 1)}
+	var deadline time.Duration
+	b.mu.Lock()
+	env.enq = b.now()
+	if dl, ok := ctx.Deadline(); ok {
+		deadline = env.enq + time.Until(dl)
+	}
+	err := b.core.Enqueue(env.enq, tenant, deadline, env)
+	b.mu.Unlock()
+	if err != nil {
+		return zero, err
+	}
+	// Counted only once queued: Pending() == n means n entries made it in.
+	b.pending.Add(1)
+	defer b.pending.Add(-1)
+	select {
+	case b.kick <- struct{}{}:
+	default:
 	}
 	select {
 	case r := <-env.reply:
@@ -198,39 +203,18 @@ func (b *Batcher[Req, Resp]) Submit(ctx context.Context, req Req) (Resp, error) 
 	}
 }
 
-// Close stops the dispatcher. Pending requests receive ErrClosed.
+// Close stops the dispatch goroutine. Blocked Submits receive ErrClosed.
 func (b *Batcher[Req, Resp]) Close() {
-	close(b.done)
+	b.closed.Do(func() { close(b.done) })
 }
 
-// dispatch is the single batch-formation goroutine. The buffer's flush
-// instant is tracked explicitly (Assembly.FlushAt over the buffered
-// entries) and a timer is armed to exactly that instant: an empty buffer
-// holds no timer at all, the first entry arms it, and a tighter arriving
-// deadline re-arms it earlier. The instant only ever moves earlier while
-// the buffer fills — enqueue order makes the oldest entry's bound the
-// loosest FlushEvery term — so re-arming on shrink is the only timer
-// traffic.
+// dispatch is the single batch-formation goroutine: flush while the core
+// is ready, then sleep until its next flush instant or a kick from an
+// arrival that may have made it ready or tightened that instant. An
+// empty buffer holds no timer at all.
 func (b *Batcher[Req, Resp]) dispatch() {
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	rearm := func(at time.Duration) {
-		if armed && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		d := at - b.now()
-		if d < 0 {
-			d = 0
-		}
-		timer.Reset(d)
-		armed = true
-	}
+	armed := true
 	disarm := func() {
 		if armed && !timer.Stop() {
 			select {
@@ -240,27 +224,28 @@ func (b *Batcher[Req, Resp]) dispatch() {
 		}
 		armed = false
 	}
-	var flushAt time.Duration
-	buf := make([]envelope[Req, Resp], 0, b.cfg.MaxBatch)
 	for {
+		// Read the clock under the lock: no entry is younger than now, so
+		// no sojourn CoDel sees is negative.
+		b.mu.Lock()
+		now := b.now()
+		if b.core.Ready(now) {
+			batch, expired := b.core.Assemble(now)
+			b.mu.Unlock()
+			b.flush(now, batch, expired)
+			continue
+		}
+		at, ok := b.core.NextFlushAt()
+		b.mu.Unlock()
+		disarm()
+		if ok {
+			timer.Reset(at - now)
+			armed = true
+		}
 		select {
-		case env := <-b.in:
-			bound := b.asm.FlushAt(env.enq, env.deadline)
-			if len(buf) == 0 || bound < flushAt {
-				flushAt = bound
-			}
-			buf = append(buf, env)
-			if b.asm.Full(len(buf)) {
-				buf = b.flush(buf)
-				disarm()
-				continue
-			}
-			rearm(flushAt)
+		case <-b.kick:
 		case <-timer.C:
 			armed = false
-			if len(buf) > 0 {
-				buf = b.flush(buf)
-			}
 		case <-b.done:
 			disarm()
 			return
@@ -268,41 +253,39 @@ func (b *Batcher[Req, Resp]) dispatch() {
 	}
 }
 
-// flush runs the handler on the buffered requests and fans responses out.
-// Before the handler sees the batch, entries whose deadline already passed
-// are answered ErrDeadlineExpired, entries whose context is otherwise done
-// are answered their context error, and — in arrival order, so the CoDel
-// controller sees head-of-queue sojourns — entries the queue discipline
-// sheds are answered ErrCoDelDropped. None of them spends handler FLOPs.
-// It returns the emptied (reusable) buffer.
-func (b *Batcher[Req, Resp]) flush(buf []envelope[Req, Resp]) []envelope[Req, Resp] {
-	now := b.now()
-	reqs := make([]Req, 0, len(buf))
-	kept := make([]envelope[Req, Resp], 0, len(buf))
-	for _, env := range buf {
-		if b.asm.Expired(env.deadline, now) {
-			b.expired.Add(1)
-			env.reply <- result[Resp]{err: ErrDeadlineExpired}
-			continue
-		}
+// flush answers an assembled batch. Entries the core dropped because
+// their deadline passed are answered ErrDeadlineExpired. Of the rest, in
+// batch order (arrival order within a tenant, so the CoDel controller
+// sees head-of-queue sojourns), entries whose context is already done are
+// answered their context error and entries the queue discipline sheds are
+// answered ErrCoDelDropped. None of them spends handler FLOPs.
+func (b *Batcher[Req, Resp]) flush(now time.Duration, batch, expired []envelope[Req, Resp]) {
+	for _, env := range expired {
+		env.reply <- result[Resp]{err: ErrDeadlineExpired}
+	}
+	kept := batch[:0]
+	for _, env := range batch {
 		if err := env.ctx.Err(); err != nil {
 			env.reply <- result[Resp]{err: err}
 			continue
 		}
-		if b.cfg.CoDel.ShouldDrop(now - env.enq) {
+		if b.codel.ShouldDrop(now - env.enq) {
 			env.reply <- result[Resp]{err: ErrCoDelDropped}
 			continue
 		}
 		kept = append(kept, env)
-		reqs = append(reqs, env.req)
 	}
-	if len(reqs) > 0 {
-		resps := b.handler(reqs)
-		for i, env := range kept {
-			if i < len(resps) {
-				env.reply <- result[Resp]{resp: resps[i]}
-			}
+	if len(kept) == 0 {
+		return
+	}
+	reqs := make([]Req, len(kept))
+	for i, env := range kept {
+		reqs[i] = env.req
+	}
+	resps := b.handler(reqs)
+	for i, env := range kept {
+		if i < len(resps) {
+			env.reply <- result[Resp]{resp: resps[i]}
 		}
 	}
-	return buf[:0]
 }

@@ -156,8 +156,10 @@ func TestExpiredEntriesDroppedBeforeHandler(t *testing.T) {
 	// handler: the batcher answers its context error at flush time.
 	var seen atomic.Int64
 	block := make(chan struct{})
+	parked := make(chan struct{})
 	b, _ := New(Config{MaxBatch: 8, FlushEvery: time.Millisecond}, func(batch []int) []int {
 		seen.Add(int64(len(batch)))
+		close(parked) // only the first flush runs before the test ends
 		<-block
 		return batch
 	})
@@ -166,7 +168,7 @@ func TestExpiredEntriesDroppedBeforeHandler(t *testing.T) {
 
 	// First request occupies the dispatch goroutine in the handler...
 	go func() { _, _ = b.Submit(context.Background(), 1) }()
-	time.Sleep(5 * time.Millisecond)
+	<-parked
 	// ...so this one sits buffered past its deadline until the next flush.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -179,7 +181,6 @@ func TestExpiredEntriesDroppedBeforeHandler(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-drop error %v does not match context.DeadlineExceeded", err)
 	}
-	time.Sleep(5 * time.Millisecond) // let the blocked flush drain
 	if got := seen.Load(); got != 1 {
 		t.Fatalf("handler saw %d requests, want only the live one", got)
 	}
@@ -197,25 +198,38 @@ func TestCoDelShedsStandingQueue(t *testing.T) {
 	})
 
 	var seen atomic.Int64
+	release := make(chan struct{})
+	parked := make(chan struct{}, 1)
 	b, _ := New(Config{MaxBatch: 8, FlushEvery: time.Millisecond, CoDel: cd}, func(batch []int) []int {
 		seen.Add(int64(len(batch)))
-		time.Sleep(10 * time.Millisecond)
+		select {
+		case parked <- struct{}{}:
+			<-release // only the first flush parks the dispatcher
+		default:
+		}
 		return batch
 	})
 	defer b.Close()
 
 	// The first request's flush arms the excursion (its sojourn is above
-	// the nanosecond target) and parks the dispatcher in the sleeping
-	// handler.
+	// the nanosecond target) and parks the dispatcher in the handler.
 	go func() { _, _ = b.Submit(context.Background(), 1) }()
-	time.Sleep(3 * time.Millisecond)
+	<-parked
 	// Tip the controller into its drop state while the second request sits
-	// buffered behind the slow flush.
+	// buffered behind the parked flush.
 	if !cd.ShouldDrop(time.Second) || !cd.Dropping() {
 		t.Fatal("controller did not enter its drop state")
 	}
-	_, err := b.Submit(context.Background(), 2)
-	if err != ErrCoDelDropped {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), 2)
+		errc <- err
+	}()
+	for b.Pending() < 2 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	if err := <-errc; err != ErrCoDelDropped {
 		t.Fatalf("Submit = %v, want ErrCoDelDropped", err)
 	}
 	if cd.Dropped() < 2 {

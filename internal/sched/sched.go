@@ -1,18 +1,20 @@
 // Package sched implements SLO-aware multi-tenant batch scheduling for the
-// inference server: per-tenant queues in front of the batcher, weighted
+// inference server: per-tenant queues in front of the model, weighted
 // deficit-round-robin (WDRR) fairness with optional strict priority tiers,
 // deadline-aware batch assembly (a buffer never waits past the tightest
-// member deadline — it flushes early instead, via batching.Assembly), and
+// member deadline — it flushes early instead, via Assembly), and
 // batch-size selection driven by the device cost model's amortisation curve
 // rather than a fixed MaxBatch.
 //
-// The scheduling state machine lives in Core, which is deliberately
-// substrate-agnostic: it holds no clock, no goroutine and no timer — every
-// method takes an explicit monotonic timestamp. The live Dispatcher drives
-// a Core from the wall clock; the discrete-event simulator (internal/sim)
-// drives the very same Core from virtual time, so fairness and isolation
-// properties proven in deterministic simulation are properties of the code
-// the server runs, not of a parallel model of it.
+// sched decides; it never waits. The scheduling state machine lives in
+// Core, which is deliberately substrate-agnostic: it holds no clock, no
+// goroutine and no timer — every method takes an explicit monotonic
+// timestamp. One wall-clock loop, batching.Batcher, drives a Core for the
+// live server (the plain FIFO batcher is its one-tenant case); the
+// discrete-event simulator (internal/sim) drives the very same Core from
+// virtual time, so fairness and isolation properties proven in
+// deterministic simulation are properties of the code the server runs,
+// not of a parallel model of it.
 package sched
 
 import (
@@ -22,8 +24,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"etude/internal/batching"
 )
 
 // ErrShed is returned when a tenant's queue is at its bound: admitting
@@ -42,9 +42,6 @@ type expiredError struct{}
 func (expiredError) Error() string { return "sched: deadline expired in tenant queue" }
 
 func (expiredError) Is(target error) bool { return target == context.DeadlineExceeded }
-
-// ErrClosed is returned by the live dispatcher after Close.
-var ErrClosed = errors.New("sched: dispatcher closed")
 
 // DefaultTenant is the queue name for requests that carry no tenant label.
 const DefaultTenant = "default"
@@ -83,8 +80,8 @@ type Config struct {
 	// FlushEvery bounds how long the oldest pending request may wait.
 	FlushEvery time.Duration
 	// DeadlineSlack reserves headroom before the tightest member deadline
-	// when pulling a flush early (see batching.Assembly). Zero defaults
-	// like batching.Config (FlushEvery/4 capped at 5ms); set it to the
+	// when pulling a flush early (see Assembly). Zero defaults to
+	// FlushEvery/4 capped at 5ms (see Config.Assembly); set it to the
 	// expected batch service time when a cost model is available.
 	DeadlineSlack time.Duration
 	// MaxQueue bounds each tenant's queue; enqueues beyond it shed with
@@ -245,20 +242,23 @@ func (q *queue[T]) pop() entry[T] {
 
 // Core is the scheduling state machine: per-tenant FIFO queues drained by
 // weighted deficit round robin across strict priority tiers, with
-// deadline-aware flush timing delegated to batching.Assembly.
+// deadline-aware flush timing delegated to Assembly.
 //
 // Core is NOT goroutine-safe and holds no clock: every method takes `now`
-// explicitly. The live Dispatcher serialises access behind a mutex; the
-// simulator is single-threaded by construction.
+// explicitly. The live batching loop serialises access behind a mutex;
+// the simulator is single-threaded by construction.
 type Core[T any] struct {
 	cfg Config
-	asm batching.Assembly
+	asm Assembly
 	// tenants indexes queues by name; tiers holds the same queues grouped
 	// by strict priority, ascending, in declaration order within a tier —
 	// the WDRR visit order.
 	tenants map[string]*queue[T]
 	tiers   []*tier[T]
 	pending int
+	// tightest is the earliest deadline among queued entries (0 = none),
+	// so NextFlushAt costs a look at each queue head, not every entry.
+	tightest time.Duration
 }
 
 type tier[T any] struct {
@@ -275,15 +275,7 @@ func NewCore[T any](cfg Config) (*Core[T], error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	c := &Core[T]{
-		cfg: cfg,
-		asm: batching.Config{
-			MaxBatch:      cfg.TargetBatch,
-			FlushEvery:    cfg.FlushEvery,
-			DeadlineSlack: cfg.DeadlineSlack,
-		}.Assembly(),
-		tenants: make(map[string]*queue[T]),
-	}
+	c := &Core[T]{cfg: cfg, asm: cfg.Assembly(), tenants: make(map[string]*queue[T])}
 	for _, tc := range cfg.Tenants {
 		c.addQueue(tc)
 	}
@@ -322,9 +314,10 @@ func (c *Core[T]) lookup(tenant string) *queue[T] {
 	return c.addQueue(TenantConfig{Name: tenant, Weight: 1})
 }
 
-// Enqueue admits one request into its tenant queue at time now. deadline
-// is the request's absolute deadline on the caller's clock (0 = none).
-// Returns ErrShed when the tenant's queue is at its bound.
+// Enqueue admits one request into its tenant queue at time now, which must
+// not decrease across calls (each queue's head is then its oldest entry).
+// deadline is the request's absolute deadline on the caller's clock
+// (0 = none). Returns ErrShed when the tenant's queue is at its bound.
 func (c *Core[T]) Enqueue(now time.Duration, tenant string, deadline time.Duration, v T) error {
 	q := c.lookup(tenant)
 	if c.cfg.MaxQueue > 0 && q.len() >= c.cfg.MaxQueue {
@@ -334,6 +327,9 @@ func (c *Core[T]) Enqueue(now time.Duration, tenant string, deadline time.Durati
 	q.push(entry[T]{v: v, enq: now, deadline: deadline})
 	q.stats.Enqueued++
 	c.pending++
+	if deadline > 0 && (c.tightest == 0 || deadline < c.tightest) {
+		c.tightest = deadline
+	}
 	return nil
 }
 
@@ -347,7 +343,7 @@ func (c *Core[T]) Ready(now time.Duration) bool {
 	if c.pending == 0 {
 		return false
 	}
-	if c.pending >= c.cfg.TargetBatch {
+	if c.asm.Full(c.pending) {
 		return true
 	}
 	at, ok := c.NextFlushAt()
@@ -361,12 +357,12 @@ func (c *Core[T]) Ready(now time.Duration) bool {
 func (c *Core[T]) NextFlushAt() (at time.Duration, ok bool) {
 	for _, tr := range c.tiers {
 		for _, q := range tr.queues {
-			for i := q.head; i < len(q.items); i++ {
-				e := q.items[i]
-				bound := c.asm.FlushAt(e.enq, e.deadline)
-				if !ok || bound < at {
-					at, ok = bound, true
-				}
+			if q.len() == 0 {
+				continue
+			}
+			bound := c.asm.FlushAt(q.items[q.head].enq, c.tightest)
+			if !ok || bound < at {
+				at, ok = bound, true
 			}
 		}
 	}
@@ -384,6 +380,7 @@ func (c *Core[T]) NextFlushAt() (at time.Duration, ok bool) {
 // assembled — the amortisation knee; a larger batch would add latency
 // faster than it amortises fixed cost.
 func (c *Core[T]) Assemble(now time.Duration) (batch, expired []T) {
+	defer c.retighten()
 	for _, tr := range c.tiers {
 		for _, q := range tr.queues {
 			expired = c.dropExpired(q, now, expired)
@@ -404,6 +401,18 @@ func (c *Core[T]) Assemble(now time.Duration) (batch, expired []T) {
 		}
 	}
 	return batch, expired
+}
+
+// retighten recomputes the earliest queued deadline after entries leave.
+func (c *Core[T]) retighten() {
+	c.tightest = 0
+	for _, q := range c.tenants {
+		for _, e := range q.items[q.head:] {
+			if e.deadline > 0 && (c.tightest == 0 || e.deadline < c.tightest) {
+				c.tightest = e.deadline
+			}
+		}
+	}
 }
 
 // dropExpired filters dead entries out of one queue, preserving FIFO

@@ -2,15 +2,21 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"etude/internal/batching"
 	"etude/internal/httpapi"
 	"etude/internal/leakcheck"
+	"etude/internal/metrics"
 	"etude/internal/overload"
+	"etude/internal/sched"
 	"etude/internal/trace"
 )
 
@@ -115,5 +121,149 @@ func TestLimiterReleasedOnEveryOutcome(t *testing.T) {
 	predictWithDeadline(t, ts, time.Now().Add(-time.Second), httpapi.PredictRequest{Items: []int64{1}})
 	if lim.Inflight() != 0 {
 		t.Fatalf("Inflight() = %d after mixed outcomes, want 0", lim.Inflight())
+	}
+}
+
+// TestBatchErrorMapping pins the one answer to every way the batcher can
+// refuse a request — plain batching and the scheduler alike: the status,
+// the counter it raises and whether it tells the adaptive limiter the
+// server is congested.
+func TestBatchErrorMapping(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		err        error
+		status     int
+		retryAfter bool
+		counter    string // "" = none
+		congested  bool
+	}{
+		{"expired sentinel", batching.ErrDeadlineExpired, http.StatusGatewayTimeout, false, "deadlineExpired", true},
+		{"context deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, false, "deadlineExpired", true},
+		{"context canceled", context.Canceled, http.StatusGatewayTimeout, false, "", true},
+		{"codel drop", batching.ErrCoDelDropped, http.StatusServiceUnavailable, true, "codelDropped", true},
+		{"tenant shed", sched.ErrShed, http.StatusTooManyRequests, true, "shed", false},
+		{"closed", batching.ErrClosed, http.StatusServiceUnavailable, false, "", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Server{}
+			w := httptest.NewRecorder()
+			congested := s.batchError(w, tc.err)
+			if w.Code != tc.status {
+				t.Errorf("status = %d, want %d", w.Code, tc.status)
+			}
+			if got := w.Header().Get("Retry-After") != ""; got != tc.retryAfter {
+				t.Errorf("Retry-After present = %v, want %v", got, tc.retryAfter)
+			}
+			if congested != tc.congested {
+				t.Errorf("congested = %v, want %v", congested, tc.congested)
+			}
+			counters := map[string]int64{
+				"deadlineExpired": s.deadlineExpired.Load(),
+				"codelDropped":    s.codelDropped.Load(),
+				"shed":            s.shed.Load(),
+			}
+			for name, v := range counters {
+				want := int64(0)
+				if name == tc.counter {
+					want = 1
+				}
+				if v != want {
+					t.Errorf("%s = %d, want %d", name, v, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSchedCoDelShedsBehindParkedHandler: Options.CoDel applies on the
+// scheduled path too. A request queued behind a parked handler is shed at
+// flush with 503 + Retry-After and counted on /metrics.
+func TestSchedCoDelShedsBehindParkedHandler(t *testing.T) {
+	// Virtual clock, nanosecond target and interval: the first flush arms
+	// the excursion, the next one drops.
+	var clk atomic.Int64
+	cd := overload.NewCoDel(overload.CoDelConfig{Target: time.Nanosecond, Interval: time.Nanosecond}, func() time.Duration {
+		return time.Duration(clk.Add(int64(time.Millisecond)))
+	})
+	s, err := New(testModel(t), Options{Workers: 1, CoDel: cd, Sched: &sched.Config{MaxBatch: 8, FlushEvery: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Park the handler: it waits for the only worker slot.
+	pool := s.rt.Load().pool
+	slot := <-pool
+	unpark := sync.OnceFunc(func() { pool <- slot })
+	defer unpark()
+	first := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(httpapi.PredictRequest{Items: []int64{1}})
+		resp, err := http.Post(ts.URL+httpapi.PredictPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
+	}()
+	// The first CoDel verdict means the first request has flushed into
+	// the parked handler, so the second queues behind it.
+	waitFor(t, func() bool { return clk.Load() > 0 })
+	second := make(chan *http.Response, 1)
+	go func() {
+		body, _ := json.Marshal(httpapi.PredictRequest{Items: []int64{2}})
+		resp, err := http.Post(ts.URL+httpapi.PredictPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			second <- nil
+			return
+		}
+		resp.Body.Close()
+		second <- resp
+	}()
+	waitFor(t, func() bool { return s.batcher.Pending() == 2 })
+	unpark()
+
+	if got := <-first; got != http.StatusOK {
+		t.Fatalf("first request status = %d, want 200", got)
+	}
+	resp := <-second
+	if resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("queued request = %v, want 503", resp)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("CoDel shed must carry Retry-After")
+	}
+	mresp, err := http.Get(ts.URL + httpapi.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	samples, err := metrics.ParsePromText(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := -1.0
+	for _, smp := range samples {
+		if smp.Key() == "etude_codel_dropped_total" {
+			dropped = smp.Value
+		}
+	}
+	if dropped != 1 {
+		t.Fatalf("etude_codel_dropped_total = %v, want 1", dropped)
+	}
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }

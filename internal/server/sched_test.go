@@ -162,7 +162,7 @@ func TestSchedShedAnswers429WithTenantEcho(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.sched.Pending() == 0 && time.Now().Before(deadline) {
+	for s.batcher.Pending() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -179,7 +179,7 @@ func TestSchedShedAnswers429WithTenantEcho(t *testing.T) {
 	if s.Shed() == 0 {
 		t.Fatal("global shed counter not incremented")
 	}
-	// Closing the dispatcher releases the parked request with 503.
+	// Closing the batcher releases the parked request with 503.
 	s.Close()
 	select {
 	case pr := <-parked:

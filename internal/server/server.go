@@ -79,8 +79,9 @@ type Options struct {
 	Limiter *overload.Limiter
 	// CoDel, when non-nil, sheds queued work whose sojourn time shows a
 	// standing queue: worker-pool waits on the unbatched path, buffered
-	// entries at flush on the batching path (it is threaded into the
-	// batcher's config automatically). Shed requests answer 503.
+	// entries at flush when Batch or Sched is set (the batching loop
+	// applies it in both modes; a Batch config's own CoDel takes
+	// precedence). Shed requests answer 503.
 	CoDel *overload.CoDel
 	// DegradeAt is the pending-request watermark at which prediction
 	// requests are answered from the precomputed fallback list instead of
@@ -139,12 +140,14 @@ func (o Options) withDefaults() Options {
 type predictor func(session []int64, sp *trace.Span) []topk.Result
 
 // batchItem is one request travelling through the batcher: the session plus
-// its span and enqueue timestamp so the dispatcher can attribute
-// batch-assembly and head-of-line wait to the right request.
+// its span and enqueue timestamp so the flush can attribute the batching
+// wait and head-of-line wait to the right request, and its tenant label
+// (queued on only when Options.Sched is set).
 type batchItem struct {
 	session []int64
 	sp      *trace.Span
 	enq     time.Duration
+	tenant  string
 }
 
 // batchOut carries a batched response plus the size of the batch it was
@@ -186,12 +189,13 @@ type Server struct {
 	tracer *trace.Tracer
 	// rt is the serving runtime — model, worker pool, version counters —
 	// swapped atomically by ApplyRelease. Never nil after construction.
-	rt      atomic.Pointer[modelRuntime]
-	batcher *batching.Batcher[batchItem, batchOut]
-	// sched replaces the batcher when Options.Sched is set: the same
-	// batch-executing worker path, but batches are assembled by the
-	// multi-tenant WDRR scheduler instead of a single FIFO buffer.
-	sched *sched.Dispatcher[batchItem, batchOut]
+	rt atomic.Pointer[modelRuntime]
+	// batcher is set when Options.Batch (a one-tenant FIFO) or
+	// Options.Sched (per-tenant WDRR queues) is; waitStage is the stage its
+	// enqueue→flush wait is charged to: batch-assembly or sched-wait, so
+	// tenant experiments can pin tail movement on scheduling.
+	batcher   *batching.Batcher[batchItem, batchOut]
+	waitStage trace.Stage
 	// releases is the versioned store behind ApplyRelease (nil unless the
 	// server was built by LoadFromReleases); watcher polls it for fleet-wide
 	// promotions; swapMu serialises swaps (the serving path never takes it).
@@ -261,26 +265,23 @@ func newServer(m model.Model, opts Options, version int) (*Server, error) {
 		return nil, err
 	}
 	s.rt.Store(rt)
-	if opts.Batch != nil && opts.Sched != nil {
+	switch {
+	case opts.Batch != nil && opts.Sched != nil:
 		return nil, fmt.Errorf("server: Batch and Sched are mutually exclusive — the scheduler does its own batching")
-	}
-	if opts.Batch != nil {
+	case opts.Batch != nil:
 		cfg := *opts.Batch
 		if cfg.CoDel == nil {
 			cfg.CoDel = opts.CoDel
 		}
-		b, err := batching.New(cfg, s.runBatch)
-		if err != nil {
-			return nil, err
-		}
-		s.batcher = b
+		s.batcher, err = batching.New(cfg, s.runBatch)
+		s.waitStage = trace.StageBatchAssembly
+	case opts.Sched != nil:
+		tenantOf := func(it batchItem) string { return it.tenant }
+		s.batcher, err = batching.NewTenants(*opts.Sched, opts.CoDel, tenantOf, s.runBatch)
+		s.waitStage = trace.StageSchedWait
 	}
-	if opts.Sched != nil {
-		d, err := sched.NewDispatcher(*opts.Sched, s.runSchedBatch)
-		if err != nil {
-			return nil, err
-		}
-		s.sched = d
+	if err != nil {
+		return nil, err
 	}
 	s.ready.Store(true)
 	return s, nil
@@ -540,8 +541,8 @@ func (s *Server) Gateway() *shard.Gateway { return s.gw }
 
 // runBatch executes a batch on a single worker slot, sequentially — the CPU
 // analogue of one fused accelerator kernel sequence. Per item it attributes
-// batch-assembly (enqueue→flush) and queue-wait (head-of-line inside the
-// batch) before the model stages.
+// the enqueue→flush wait (waitStage) and queue-wait (head-of-line inside
+// the batch) before the model stages.
 func (s *Server) runBatch(items []batchItem) []batchOut {
 	// Load the runtime once per batch: a hot-swap mid-batch must not mix
 	// predictors from two versions, and returning the slot to the pool it
@@ -554,7 +555,7 @@ func (s *Server) runBatch(items []batchItem) []batchOut {
 	out := make([]batchOut, len(items))
 	for i, it := range items {
 		if it.sp != nil {
-			it.sp.Observe(trace.StageBatchAssembly, flushStart-it.enq)
+			it.sp.Observe(s.waitStage, flushStart-it.enq)
 			it.sp.Observe(trace.StageQueueWait, it.sp.Now()-flushStart)
 			it.sp.SetBatchSize(len(items))
 		}
@@ -563,47 +564,23 @@ func (s *Server) runBatch(items []batchItem) []batchOut {
 	return out
 }
 
-// runSchedBatch is runBatch's scheduled-path twin: batches arrive from the
-// multi-tenant WDRR scheduler, so the enqueue→flush wait is attributed to
-// the sched-wait stage (distinct from plain batch-assembly, letting tenant
-// experiments pin tail movement on scheduling).
-func (s *Server) runSchedBatch(items []batchItem) []batchOut {
-	rt := s.rt.Load()
-	p := <-rt.pool
-	defer func() { rt.pool <- p }()
-	s.tracer.ObserveBatchFlush(len(items))
-	flushStart := s.tracer.Now()
-	out := make([]batchOut, len(items))
-	for i, it := range items {
-		if it.sp != nil {
-			it.sp.Observe(trace.StageSchedWait, flushStart-it.enq)
-			it.sp.Observe(trace.StageQueueWait, it.sp.Now()-flushStart)
-			it.sp.SetBatchSize(len(items))
-		}
-		out[i] = batchOut{recs: p(it.session, it.sp), size: len(items)}
-	}
-	return out
-}
-
-// TenantStats snapshots the scheduler's per-tenant counters (nil when
-// Options.Sched is unset).
+// TenantStats snapshots the batcher's per-tenant counters (nil when
+// neither Options.Batch nor Options.Sched is set; one default tenant under
+// Options.Batch).
 func (s *Server) TenantStats() []sched.TenantStats {
-	if s.sched == nil {
+	if s.batcher == nil {
 		return nil
 	}
-	return s.sched.Stats()
+	return s.batcher.Stats()
 }
 
-// Close releases the release watcher, batcher and scheduler, if any.
+// Close releases the release watcher and batcher, if any.
 func (s *Server) Close() {
 	if s.watcher != nil {
 		s.watcher.Close()
 	}
 	if s.batcher != nil {
 		s.batcher.Close()
-	}
-	if s.sched != nil {
-		s.sched.Close()
 	}
 }
 
@@ -723,15 +700,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			b.Summary("etude_version_request_seconds", "Inference latency of the serving version (window since swap).", snap, vl)
 		}
 	}
-	if s.sched != nil {
-		for _, st := range s.sched.Stats() {
-			lbl := metrics.Label{Name: "tenant", Value: st.Tenant}
-			b.Counter("etude_tenant_served_total", "Requests served, by tenant (scheduler goodput).", float64(st.Served), lbl)
-			b.Counter("etude_tenant_shed_total", "Requests refused at the tenant queue bound (429), by tenant.", float64(st.Shed), lbl)
-			b.Counter("etude_tenant_deadline_miss_total", "Requests dropped at batch assembly after their deadline passed (504), by tenant.", float64(st.Expired), lbl)
-			b.Gauge("etude_tenant_pending", "Queued requests, by tenant.", float64(st.Pending), lbl)
-			b.Gauge("etude_tenant_weight", "Configured WDRR weight, by tenant.", float64(st.Weight), lbl)
-		}
+	for _, st := range s.TenantStats() {
+		lbl := metrics.Label{Name: "tenant", Value: st.Tenant}
+		b.Counter("etude_tenant_served_total", "Requests served, by tenant (scheduler goodput).", float64(st.Served), lbl)
+		b.Counter("etude_tenant_shed_total", "Requests refused at the tenant queue bound (429), by tenant.", float64(st.Shed), lbl)
+		b.Counter("etude_tenant_deadline_miss_total", "Requests dropped at batch assembly after their deadline passed (504), by tenant.", float64(st.Expired), lbl)
+		b.Gauge("etude_tenant_pending", "Queued requests, by tenant.", float64(st.Pending), lbl)
+		b.Gauge("etude_tenant_weight", "Configured WDRR weight, by tenant.", float64(st.Weight), lbl)
 	}
 	if rt.shardPool != nil {
 		b.Gauge("etude_shards", "In-process retrieval shard count.", float64(rt.shardPool.Shards()))
@@ -769,9 +744,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) queueDepth() int {
 	if s.batcher != nil {
 		return s.batcher.Pending()
-	}
-	if s.sched != nil {
-		return s.sched.Pending()
 	}
 	return int(s.pending.Load())
 }
@@ -916,57 +888,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		recs = rt.fallback
 		degraded = true
 		s.degraded.Add(1)
-	case s.sched != nil:
-		out, err := s.sched.Submit(r.Context(), tenant, batchItem{session: req.Items, sp: sp, enq: sp.Now()})
-		if err != nil {
-			// As on the batcher path: the dispatcher may still hold the span.
-			sp = nil
-			rt.errs.Add(1)
-			status := http.StatusServiceUnavailable
-			switch {
-			case errors.Is(err, sched.ErrShed):
-				// Tenant queue at its bound: the scheduler's per-tenant
-				// admission control, answered like the global one.
-				status = http.StatusTooManyRequests
-				s.shed.Add(1)
-				w.Header().Set("Retry-After", "1")
-			case errors.Is(err, context.DeadlineExceeded):
-				// Covers both sched.ErrExpired (dropped at assembly) and the
-				// request context's own deadline firing first.
-				status = http.StatusGatewayTimeout
-				s.deadlineExpired.Add(1)
-				congested = true
-			case errors.Is(err, context.Canceled):
-				status = http.StatusGatewayTimeout
-				congested = true
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		recs = out.recs
-		batch = out.size
 	case s.batcher != nil:
-		out, err := s.batcher.Submit(r.Context(), batchItem{session: req.Items, sp: sp, enq: sp.Now()})
+		out, err := s.batcher.Submit(r.Context(), batchItem{session: req.Items, sp: sp, enq: sp.Now(), tenant: tenant})
 		if err != nil {
-			// The dispatcher may still hold the span (cancelled mid-flight):
-			// abandon it rather than recycle it under a racing writer.
-			sp = nil
+			// The batcher may still hold the span (cancelled mid-flight):
+			// abandon it rather than Discard it under a racing writer.
 			rt.errs.Add(1)
-			status := http.StatusServiceUnavailable
-			switch err {
-			case context.DeadlineExceeded:
-				status = http.StatusGatewayTimeout
-				s.deadlineExpired.Add(1)
-				congested = true
-			case context.Canceled:
-				status = http.StatusGatewayTimeout
-				congested = true
-			case batching.ErrCoDelDropped:
-				s.codelDropped.Add(1)
-				congested = true
-				w.Header().Set("Retry-After", "1")
-			}
-			http.Error(w, err.Error(), status)
+			congested = s.batchError(w, err)
 			return
 		}
 		recs = out.recs
@@ -1040,4 +968,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	rt.lat.Record(inference)
 	sp.ObserveSince(trace.StageSerialize, serStart)
 	sp.Finish()
+}
+
+// batchError answers a request the batcher did not serve and reports
+// whether the outcome is a congestion signal for the adaptive limiter.
+func (s *Server) batchError(w http.ResponseWriter, err error) (congested bool) {
+	status := http.StatusServiceUnavailable
+	switch {
+	case errors.Is(err, sched.ErrShed):
+		// Tenant queue at its bound: the scheduler's per-tenant admission
+		// control, answered like the global one.
+		status = http.StatusTooManyRequests
+		s.shed.Add(1)
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, context.DeadlineExceeded):
+		// Covers both batching.ErrDeadlineExpired (dropped at flush) and
+		// the request context's own deadline firing first.
+		status = http.StatusGatewayTimeout
+		s.deadlineExpired.Add(1)
+		congested = true
+	case errors.Is(err, context.Canceled):
+		status = http.StatusGatewayTimeout
+		congested = true
+	case errors.Is(err, batching.ErrCoDelDropped):
+		s.codelDropped.Add(1)
+		congested = true
+		w.Header().Set("Retry-After", "1")
+	}
+	http.Error(w, err.Error(), status)
+	return congested
 }

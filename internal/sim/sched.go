@@ -21,9 +21,9 @@ type schedReq struct {
 // the SLO-aware multi-tenant scheduler (internal/sched): per-tenant queues
 // drained by weighted deficit round robin, deadline-aware flush timing, and
 // an amortisation-driven target batch size. It drives the very same
-// sched.Core the live server's dispatcher runs, but on the engine's virtual
-// clock — so the tenant-isolation experiment proves properties of the
-// production scheduling code, deterministically.
+// sched.Core the live server's batching loop runs, but on the engine's
+// virtual clock — so the tenant-isolation experiment proves properties of
+// the production scheduling code, deterministically.
 //
 // It deliberately omits the chaos/resilience surface of Instance: the
 // scheduler experiments isolate scheduling effects, and keeping the mirror
