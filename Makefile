@@ -57,16 +57,19 @@ race:
 # core split in topk.TopK, reached through every model).
 # Process tests (real SIGKILL blackouts included) use the prebuilt
 # bin/etude-server; skip them with `go test -short`.
-# The final step is the perf-regression gate: it re-runs the smoke grid
+# Then the perf-regression gate: it re-runs the smoke grid
 # (bench/smoke.json) and fails when any gated metric drifts beyond the
 # noise band of the committed baselines in results/baselines/, naming the
-# trace stage that moved with it.
+# trace stage that moved with it. The last step is process hygiene
+# (`make procs`): a test or gate run that left an etude-server, test
+# binary or benchmark process running fails the check.
 check: bin/etude-server bin/etude
 	go build ./...
 	go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/batching ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
+	@$(MAKE) --no-print-directory procs
 
 # Process hygiene: exits 1, naming them, if any process other than the
 # caller has its working directory or executable inside the repository —

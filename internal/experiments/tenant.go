@@ -285,7 +285,7 @@ func runTenantArm(cfg TenantCmpConfig, name string, offered map[string]workload.
 		for _, at := range times {
 			ta.sent++
 			eng.Schedule(at, func() {
-				in.Submit(queue, 10, 0, func(o sim.Outcome) {
+				in.SubmitTenant(queue, 10, 0, func(o sim.Outcome) {
 					switch o.Err {
 					case nil:
 						ta.served++

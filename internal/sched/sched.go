@@ -438,6 +438,28 @@ func (c *Core[T]) dropExpired(q *queue[T], now time.Duration, expired []T) []T {
 	return expired
 }
 
+// Drain removes every queued entry and returns them in enqueue order
+// (ties by priority tier, then tenant declaration order): for a substrate that must answer all of its
+// work at once, such as a crashing simulated pod. Tenant counters are
+// kept; deficits reset, since the queues are empty.
+func (c *Core[T]) Drain() []T {
+	all := make([]entry[T], 0, c.pending)
+	for _, tr := range c.tiers {
+		for _, q := range tr.queues {
+			all = append(all, q.items[q.head:]...)
+			clear(q.items)
+			q.items, q.head, q.deficit = q.items[:0], 0, 0
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].enq < all[j].enq })
+	out := make([]T, len(all))
+	for i, e := range all {
+		out[i] = e.v
+	}
+	c.pending, c.tightest = 0, 0
+	return out
+}
+
 // drainTier runs WDRR rounds over one priority tier until the batch is
 // full or the tier is empty.
 func (c *Core[T]) drainTier(tr *tier[T], batch *[]T, max int) {

@@ -418,3 +418,66 @@ func TestServiceTimeMatchesCostModel(t *testing.T) {
 		t.Fatalf("ServiceTime = %v, want %v", got, want)
 	}
 }
+
+// Drain empties every tenant queue at once, in enqueue order across
+// tenants, and leaves the core as if it had never held them: nothing
+// pending, no flush bound, no stale deadline pulling the next flush early.
+func TestDrainReturnsEnqueueOrderAndResets(t *testing.T) {
+	c := newCore(t, Config{
+		Tenants:    []TenantConfig{{Name: "hi", Priority: 0}, {Name: "a", Weight: 3, Priority: 1}, {Name: "b", Priority: 1}},
+		MaxBatch:   8,
+		FlushEvery: ms(10),
+	})
+	// Arrival order interleaves tenants and tiers; the deadline on entry 3
+	// sets the tightest bound.
+	for i, tenant := range []string{"b", "a", "hi", "b", "a"} {
+		var deadline time.Duration
+		if i == 3 {
+			deadline = ms(4)
+		}
+		if err := c.Enqueue(ms(i), tenant, deadline, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := c.Drain()
+	want := []int{0, 1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("Drain = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Drain = %v, want enqueue order %v", got, want)
+		}
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("Pending = %d after Drain", c.Pending())
+	}
+	if at, ok := c.NextFlushAt(); ok {
+		t.Fatalf("NextFlushAt = %v after Drain, want none", at)
+	}
+	if c.Ready(ms(100)) {
+		t.Fatal("Ready after Drain")
+	}
+	if got := c.Drain(); len(got) != 0 {
+		t.Fatalf("second Drain = %v, want empty", got)
+	}
+	// The drained deadline no longer pulls the flush: a fresh entry waits
+	// its full interval.
+	if err := c.Enqueue(ms(20), "a", 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := c.NextFlushAt(); !ok || at != ms(30) {
+		t.Fatalf("NextFlushAt = %v, %v; want %v", at, ok, ms(30))
+	}
+	batch, expired := c.Assemble(ms(30))
+	if len(batch) != 1 || batch[0] != 5 || len(expired) != 0 {
+		t.Fatalf("Assemble after Drain = %v, %v", batch, expired)
+	}
+	// Counters survive: drained entries were enqueued but neither served
+	// nor expired.
+	for _, st := range c.Stats() {
+		if st.Tenant == "b" && (st.Enqueued != 2 || st.Served != 0 || st.Pending != 0) {
+			t.Fatalf("tenant b stats = %+v", st)
+		}
+	}
+}

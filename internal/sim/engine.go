@@ -4,6 +4,12 @@
 // spread requests, backpressure) against simulated serving instances whose
 // service times come from the accelerator cost models in internal/device.
 //
+// A simulated instance (Instance) queues and batches through sched.Core,
+// the state machine the live server's batching loop runs, driven here from
+// virtual time: one request at a time on CPU, the 2ms/1024 batcher on GPUs,
+// or the multi-tenant scheduler (NewSchedInstance). The simulator
+// therefore makes the live server's batch decisions.
+//
 // A full ten-minute, 1,000 req/s end-to-end run — hours of wall time on a
 // cloud — simulates in milliseconds, deterministically, which is how this
 // repository regenerates Fig 4 and Table I.

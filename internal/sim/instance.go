@@ -3,11 +3,13 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"etude/internal/device"
 	"etude/internal/model"
 	"etude/internal/overload"
+	"etude/internal/sched"
 	"etude/internal/trace"
 )
 
@@ -59,8 +61,8 @@ type Outcome struct {
 // instance. The zero value reproduces the original unbounded happy-path
 // behaviour.
 type Resilience struct {
-	// MaxQueue bounds requests waiting or in service; submissions beyond it
-	// are refused with ErrShed (admission control). 0 = unbounded.
+	// MaxQueue bounds requests waiting or in service (Pending); submissions
+	// beyond it are refused with ErrShed (admission control). 0 = unbounded.
 	MaxQueue int
 	// DegradeAt is the pending-request watermark at which new requests are
 	// answered by the cheap popularity-style fallback responder instead of
@@ -72,7 +74,8 @@ type Resilience struct {
 	// Budget is the per-request deadline budget (the sim mirror of the
 	// X-Deadline header): a request whose queue sojourn reaches it is
 	// dropped at dequeue with ErrDeadlineExpired instead of occupying the
-	// executor with work nobody is waiting for. 0 disables.
+	// executor with work nobody is waiting for, and a batch holding it
+	// flushes early (sched.Assembly). 0 disables.
 	Budget time.Duration
 	// CoDel, when non-nil, sheds from the head of the queue whenever the
 	// minimum sojourn has exceeded the CoDel target for a full interval.
@@ -107,31 +110,48 @@ type Request struct {
 }
 
 // Instance simulates one serving machine: a device (CPU or GPU), a deployed
-// model (represented by its per-session-length cost table), optional JIT
-// execution, and — on GPUs — the 2ms/1024 request batcher. Fault injection
-// (internal/chaos) can crash/restart it and dilate its service times;
-// Resilience bounds its queue and enables graceful degradation.
+// model (represented by its per-session-length cost table) and optional JIT
+// execution. Queueing and batch formation belong to a sched.Core driven on
+// the engine's virtual clock — the very state machine the live server's
+// batching loop runs, so the simulator makes the live server's batch
+// decisions: one request at a time on CPU, the 2ms/1024 batcher on GPUs
+// (one tenant), or SLO-aware multi-tenant scheduling (NewSchedInstance).
+// Fault injection (internal/chaos) can crash/restart it and dilate its
+// service times; Resilience bounds its queue and enables graceful
+// degradation.
 type Instance struct {
 	eng  *Engine
 	spec device.Spec
 	jit  bool
+	fits bool
 
 	// costs[l] is the model's per-inference cost at session length l;
 	// index 0 is unused.
 	costs []model.Cost
 
-	// Batching state (GPU).
-	maxBatch   int
-	flushEvery time.Duration
-	buffer     []Request
-	flushArmed bool
+	// core holds every admitted request not yet in service and decides
+	// when a batch forms.
+	core *sched.Core[Request]
+	// waitStage is the trace stage a request's time in core counts under,
+	// as in the live server: queue-wait on CPU, batch-assembly behind the
+	// batcher, sched-wait behind the tenant scheduler.
+	waitStage trace.Stage
 
-	// Service state.
-	busy  bool
-	queue []Request // CPU FIFO
+	// flushArmed/armedAt/gen implement a shrink-only virtual flush timer:
+	// arrivals can only tighten the next flush instant (the core's bound is
+	// a min over queued entries), so a pending event at a later instant is
+	// invalidated by bumping gen and scheduling an earlier one.
+	flushArmed bool
+	armedAt    time.Duration
+	gen        uint64
+
+	// Service state: at most one batch executes at a time.
+	busy     bool
+	inflight []Request
 	// busyTotal accumulates device-busy virtual time (service durations),
 	// the utilisation signal consumed by the autoscaler.
 	busyTotal time.Duration
+	flushes   int64
 
 	// version is the model release the instance serves (0 when the
 	// deployment predates versioned releases). HotSwap flips it.
@@ -145,16 +165,14 @@ type Instance struct {
 	// inflate multiplies the service-time component attributed to one
 	// compute stage (encoder-forward or mips-topk). Nil when unused.
 	inflate map[trace.Stage]float64
-	epoch    uint64  // bumped on every crash; stale completions are dropped
-	inflight []Request
+	epoch   uint64 // bumped on every crash; stale completions are dropped
 
 	res Resilience
 
 	// Overload-control counters (the sim runs single-threaded inside the
 	// event loop, so plain ints suffice).
-	deadlineExpired int64
-	codelDropped    int64
-	limited         int64
+	codelDropped int64
+	limited      int64
 
 	// tracer, when set, records per-stage spans in virtual time. It must be
 	// built with the engine's clock (see SetTracer).
@@ -165,14 +183,9 @@ type Instance struct {
 // flushEvery and maxBatch configure the batcher (paper defaults: 2ms, 1024,
 // further capped by accelerator memory); they are ignored on CPU instances.
 func NewInstance(eng *Engine, spec device.Spec, name string, cfg model.Config, jit bool, flushEvery time.Duration, maxBatch int) (*Instance, error) {
-	cfg = normalizeConfig(cfg)
-	costs := make([]model.Cost, cfg.MaxSessionLen+1)
-	for l := 1; l <= cfg.MaxSessionLen; l++ {
-		c, err := model.EstimateCost(name, cfg, l)
-		if err != nil {
-			return nil, err
-		}
-		costs[l] = c
+	costs, err := modelCosts(name, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return NewInstanceFromCosts(eng, spec, costs, jit, flushEvery, maxBatch)
 }
@@ -188,22 +201,75 @@ func NewInstanceFromCosts(eng *Engine, spec device.Spec, costs []model.Cost, jit
 	if len(costs) < 2 {
 		return nil, fmt.Errorf("sim: cost table must cover at least session length 1, got %d entries", len(costs))
 	}
-	eff := spec.EffectiveMaxBatch(costs[1])
-	if eff > maxBatch {
-		eff = maxBatch
+	eff := min(spec.EffectiveMaxBatch(costs[1]), maxBatch)
+	stage := trace.StageBatchAssembly
+	if spec.Kind == device.KindCPU {
+		eff, stage = 1, trace.StageQueueWait
 	}
 	if flushEvery <= 0 {
 		flushEvery = 2 * time.Millisecond
 	}
-	return &Instance{
-		eng:        eng,
-		spec:       spec,
-		jit:        jit,
-		costs:      costs,
-		maxBatch:   eff,
-		flushEvery: flushEvery,
-		slowdown:   1,
-	}, nil
+	in, err := newInstance(eng, spec, costs, jit, sched.Config{MaxBatch: max(eff, 1), FlushEvery: flushEvery}, stage)
+	if err != nil {
+		return nil, err
+	}
+	in.fits = eff > 0
+	return in, nil
+}
+
+// NewSchedInstance builds an instance serving the named model behind the
+// SLO-aware multi-tenant scheduler scfg describes: per-tenant queues
+// drained by weighted deficit round robin, deadline-aware flush timing,
+// and an amortisation-driven target batch size. Submit to it with
+// SubmitTenant. The scheduler config's MaxBatch (and TargetBatch) are
+// capped by the accelerator's memory-bound effective batch, mirroring
+// NewInstance; a TargetBatch of 0 is derived from the device cost model's
+// amortisation curve via sched.AmortizedBatch.
+func NewSchedInstance(eng *Engine, spec device.Spec, name string, cfg model.Config, jit bool, scfg sched.Config) (*Instance, error) {
+	costs, err := modelCosts(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	eff := max(spec.EffectiveMaxBatch(costs[1]), 1)
+	if scfg.MaxBatch < 1 || scfg.MaxBatch > eff {
+		scfg.MaxBatch = eff
+	}
+	if scfg.TargetBatch <= 0 {
+		scfg.TargetBatch = sched.AmortizedBatch(spec, costs[1], jit, 0)
+	}
+	scfg.TargetBatch = min(scfg.TargetBatch, scfg.MaxBatch)
+	if scfg.FlushEvery <= 0 {
+		scfg.FlushEvery = 2 * time.Millisecond
+	}
+	in, err := newInstance(eng, spec, costs, jit, scfg, trace.StageSchedWait)
+	if err != nil {
+		return nil, err
+	}
+	in.fits = true
+	return in, nil
+}
+
+func newInstance(eng *Engine, spec device.Spec, costs []model.Cost, jit bool, scfg sched.Config, stage trace.Stage) (*Instance, error) {
+	core, err := sched.NewCore[Request](scfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{eng: eng, spec: spec, jit: jit, costs: costs, core: core, waitStage: stage, slowdown: 1}, nil
+}
+
+// modelCosts tabulates the named model's per-inference cost for every
+// session length up to cfg.MaxSessionLen (index 0 unused).
+func modelCosts(name string, cfg model.Config) ([]model.Cost, error) {
+	cfg = normalizeConfig(cfg)
+	costs := make([]model.Cost, cfg.MaxSessionLen+1)
+	for l := 1; l <= cfg.MaxSessionLen; l++ {
+		c, err := model.EstimateCost(name, cfg, l)
+		if err != nil {
+			return nil, err
+		}
+		costs[l] = c
+	}
+	return costs, nil
 }
 
 func normalizeConfig(cfg model.Config) model.Config {
@@ -265,31 +331,29 @@ func (in *Instance) serviceSplit(c model.Cost, service time.Duration) (enc, mips
 }
 
 // Fits reports whether the model fits the instance at all (GPU memory).
-func (in *Instance) Fits() bool {
-	return in.spec.Kind == device.KindCPU || in.maxBatch > 0
-}
+func (in *Instance) Fits() bool { return in.fits }
 
 // Up reports whether the instance is serving (false after Crash until
 // Restart) — the readiness-probe signal for health-aware balancing.
 func (in *Instance) Up() bool { return !in.down }
 
-// Crash takes the instance down, failing every queued, buffered and
-// in-flight request with ErrPodDown (a dying pod resets its connections).
-// Subsequent submissions fail immediately until Restart.
+// Crash takes the instance down, failing every queued and in-flight
+// request with ErrPodDown, in arrival order (a dying pod resets its
+// connections), and cancelling the pending flush. Subsequent submissions
+// fail immediately until Restart.
 func (in *Instance) Crash() {
 	if in.down {
 		return
 	}
 	in.down = true
 	in.epoch++ // invalidate scheduled completions
-	in.busy = false
-	in.flushArmed = false
+	in.gen++   // and the pending flush event
+	in.busy, in.flushArmed = false, false
 	now := in.eng.Now()
-	failed := make([]Request, 0, len(in.queue)+len(in.buffer)+len(in.inflight))
-	failed = append(failed, in.inflight...)
-	failed = append(failed, in.queue...)
-	failed = append(failed, in.buffer...)
-	in.inflight, in.queue, in.buffer = nil, nil, nil
+	failed := append(append([]Request(nil), in.inflight...), in.core.Drain()...)
+	in.inflight = nil
+	// A multi-tenant batch is in WDRR order, not arrival order.
+	sort.SliceStable(failed, func(i, j int) bool { return failed[i].arrival < failed[j].arrival })
 	for _, r := range failed {
 		r.sp.Discard()
 		r.done(Outcome{Latency: now - r.arrival, Err: ErrPodDown})
@@ -363,6 +427,15 @@ func (in *Instance) Submit(sessionLen int, done func(latency time.Duration)) {
 // SubmitOutcome enqueues a request; done fires exactly once with the
 // outcome. Down instances and full queues fail the request immediately.
 func (in *Instance) SubmitOutcome(sessionLen int, done func(Outcome)) {
+	in.SubmitTenant(sched.DefaultTenant, sessionLen, in.res.Budget, done)
+}
+
+// SubmitTenant enqueues a request under its tenant's queue. budget is the
+// request's deadline budget (the X-Deadline header; 0 = none): if its queue
+// sojourn consumes it, the request is dropped at assembly with
+// ErrDeadlineExpired instead of occupying the device. A full tenant queue
+// (sched.Config.MaxQueue) refuses with ErrShed. done fires exactly once.
+func (in *Instance) SubmitTenant(tenant string, sessionLen int, budget time.Duration, done func(Outcome)) {
 	arrival := in.eng.Now()
 	if in.down {
 		done(Outcome{Err: ErrPodDown})
@@ -403,140 +476,113 @@ func (in *Instance) SubmitOutcome(sessionLen int, done func(Outcome)) {
 			inner(o)
 		}
 	}
+	var deadline time.Duration
+	if budget > 0 {
+		deadline = arrival + budget
+	}
 	req := Request{SessionLen: sessionLen, arrival: arrival, done: done}
 	req.sp = in.tracer.Start("")
-	if in.spec.Kind == device.KindCPU {
-		in.queue = append(in.queue, req)
-		in.pumpCPU()
+	if err := in.core.Enqueue(arrival, tenant, deadline, req); err != nil {
+		req.sp.Discard()
+		done(Outcome{Err: ErrShed})
 		return
 	}
-	in.buffer = append(in.buffer, req)
-	if !in.busy && len(in.buffer) >= in.maxBatch {
+	in.pump()
+}
+
+// pump advances batch formation: start a batch while the device is idle
+// and the core is ready (target batch reached or flush instant arrived),
+// otherwise make sure a virtual timer is armed at the core's next flush
+// bound. On CPU the target batch is 1, so an idle executor starts the
+// queue head at once.
+func (in *Instance) pump() {
+	if in.busy {
+		return // completion re-pumps
+	}
+	now := in.eng.Now()
+	for in.core.Ready(now) {
 		in.startBatch()
-		return
-	}
-	if !in.flushArmed {
-		in.flushArmed = true
-		in.eng.Schedule(in.flushEvery, in.flushTimer)
-	}
-}
-
-// dropAtDequeue applies the dequeue-time overload checks to a request about
-// to leave the queue: deadline budget first (the request is already dead to
-// its caller), CoDel second (shedding keeps the standing queue at target).
-// It reports true after completing the request with the matching error.
-func (in *Instance) dropAtDequeue(req Request, sojourn time.Duration) bool {
-	if in.res.Budget > 0 && sojourn >= in.res.Budget {
-		in.deadlineExpired++
-		req.sp.Discard()
-		req.done(Outcome{Latency: sojourn, Err: ErrDeadlineExpired})
-		return true
-	}
-	if in.res.CoDel.ShouldDrop(sojourn) {
-		in.codelDropped++
-		req.sp.Discard()
-		req.done(Outcome{Latency: sojourn, Err: ErrCoDelDropped})
-		return true
-	}
-	return false
-}
-
-// pumpCPU starts the next request on the (single, intra-op parallel)
-// executor when it is idle. Requests whose deadline budget expired in the
-// queue, and CoDel-shed heads, are dropped here — at dequeue, before the
-// executor — so expired work never reaches the encoder.
-func (in *Instance) pumpCPU() {
-	if in.busy || in.down {
-		return
-	}
-	var req Request
-	for {
-		if len(in.queue) == 0 {
+		if in.busy {
 			return
 		}
-		req = in.queue[0]
-		in.queue = in.queue[1:]
-		if !in.dropAtDequeue(req, in.eng.Now()-req.arrival) {
-			break
-		}
 	}
-	in.busy = true
-	in.inflight = append(in.inflight[:0], req)
-	cost := in.costFor(req.SessionLen)
-	enc, mips, service := in.serviceSplit(cost, in.scaled(in.spec.ParallelInference(cost, in.jit)))
-	in.busyTotal += service
-	req.sp.Observe(trace.StageQueueWait, in.eng.Now()-req.arrival)
-	epoch := in.epoch
-	in.eng.Schedule(service, func() {
-		if in.epoch != epoch {
-			return // crashed mid-service; Crash already failed the request
+	if at, ok := in.core.NextFlushAt(); ok {
+		in.arm(at)
+	}
+}
+
+// arm schedules the flush event at the given virtual instant unless an
+// earlier (or equal) one is already pending. Later pending events are
+// superseded via the generation counter — the bound only shrinks.
+func (in *Instance) arm(at time.Duration) {
+	if in.flushArmed && in.armedAt <= at {
+		return
+	}
+	in.gen++
+	g := in.gen
+	in.flushArmed = true
+	in.armedAt = at
+	in.eng.Schedule(at-in.eng.Now(), func() {
+		if g != in.gen {
+			return // superseded by an earlier arm, a flush or a crash
 		}
-		in.busy = false
-		in.inflight = in.inflight[:0]
-		req.sp.Observe(trace.StageEncoderForward, enc)
-		req.sp.Observe(trace.StageMIPSTopK, mips)
-		total := in.eng.Now() - req.arrival
-		req.sp.FinishTotal(total)
-		req.done(Outcome{Latency: total})
-		in.pumpCPU()
+		in.flushArmed = false
+		in.pump()
 	})
 }
 
-func (in *Instance) flushTimer() {
-	in.flushArmed = false
-	if in.down {
-		return
-	}
-	if !in.busy && len(in.buffer) > 0 {
-		in.startBatch()
-	} else if len(in.buffer) > 0 {
-		// Device busy: try again when it frees up (completion re-pumps),
-		// but keep the periodic timer alive as a safety net.
-		in.flushArmed = true
-		in.eng.Schedule(in.flushEvery, in.flushTimer)
-	}
-}
-
-// startBatch launches up to maxBatch buffered requests on the accelerator.
-// Deadline-expired and CoDel-shed entries are filtered out while the batch
-// assembles (the batcher's flush is the accelerator path's dequeue point),
-// so a stale buffer never wastes a forward pass.
+// startBatch assembles one batch at virtual now and schedules its service
+// completion. As in the live batcher's flush, entries whose deadline
+// passed in the queue are answered ErrDeadlineExpired and, of the rest,
+// entries the CoDel discipline sheds are answered ErrCoDelDropped — none
+// of them reaches the encoder.
 func (in *Instance) startBatch() {
 	now := in.eng.Now()
-	batch := make([]Request, 0, in.maxBatch)
-	for len(in.buffer) > 0 && len(batch) < in.maxBatch {
-		r := in.buffer[0]
-		in.buffer = in.buffer[1:]
-		if !in.dropAtDequeue(r, now-r.arrival) {
-			batch = append(batch, r)
-		}
+	in.gen++ // invalidate any pending flush event; pump re-arms after
+	in.flushArmed = false
+	// Hold the device across the drop callbacks below: a callback that
+	// resubmits only enqueues.
+	in.busy = true
+	batch, expired := in.core.Assemble(now)
+	for _, r := range expired {
+		r.sp.Discard()
+		r.done(Outcome{Latency: now - r.arrival, Err: ErrDeadlineExpired})
 	}
+	kept := batch[:0]
+	for _, r := range batch {
+		if in.res.CoDel.ShouldDrop(now - r.arrival) {
+			in.codelDropped++
+			r.sp.Discard()
+			r.done(Outcome{Latency: now - r.arrival, Err: ErrCoDelDropped})
+			continue
+		}
+		kept = append(kept, r)
+	}
+	batch = kept
 	n := len(batch)
 	if n == 0 {
-		return // every candidate was dropped; the next submit or flush re-pumps
+		in.busy = false
+		return
 	}
-	in.busy = true
-	in.inflight = append(in.inflight[:0], batch...)
+	in.inflight = batch
+	in.flushes++
 	in.tracer.ObserveBatchFlush(n)
-	flushStart := in.eng.Now()
+	totalLen := 0
 	for _, r := range batch {
-		r.sp.Observe(trace.StageBatchAssembly, flushStart-r.arrival)
+		r.sp.Observe(in.waitStage, now-r.arrival)
 		r.sp.SetBatchSize(n)
+		totalLen += r.SessionLen
 	}
 
 	// The batch's service time uses the mean session length of its
 	// requests (the encoder runs per request; the catalog scan dominates
-	// and is shared).
-	totalLen := 0
-	for _, r := range batch {
-		totalLen += r.SessionLen
+	// and is shared). A CPU serves one request with intra-op parallelism.
+	cost := in.costFor(totalLen / n)
+	raw := in.spec.BatchInference(cost, n, in.jit)
+	if in.spec.Kind == device.KindCPU {
+		raw = in.spec.ParallelInference(cost, in.jit)
 	}
-	meanLen := totalLen / n
-	if meanLen < 1 {
-		meanLen = 1
-	}
-	cost := in.costFor(meanLen)
-	enc, mips, service := in.serviceSplit(cost, in.scaled(in.spec.BatchInference(cost, n, in.jit)))
+	enc, mips, service := in.serviceSplit(cost, in.scaled(raw))
 	in.busyTotal += service
 	epoch := in.epoch
 	in.eng.Schedule(service, func() {
@@ -544,7 +590,7 @@ func (in *Instance) startBatch() {
 			return // crashed mid-batch; Crash already failed the requests
 		}
 		in.busy = false
-		in.inflight = in.inflight[:0]
+		in.inflight = nil
 		for _, r := range batch {
 			r.sp.Observe(trace.StageEncoderForward, enc)
 			r.sp.Observe(trace.StageMIPSTopK, mips)
@@ -552,12 +598,7 @@ func (in *Instance) startBatch() {
 			r.sp.FinishTotal(total)
 			r.done(Outcome{Latency: total})
 		}
-		if len(in.buffer) >= in.maxBatch {
-			in.startBatch()
-		} else if len(in.buffer) > 0 && !in.flushArmed {
-			in.flushArmed = true
-			in.eng.Schedule(in.flushEvery, in.flushTimer)
-		}
+		in.pump()
 	})
 }
 
@@ -565,9 +606,20 @@ func (in *Instance) startBatch() {
 // utilisation signal the autoscaler divides by wall time.
 func (in *Instance) BusyTime() time.Duration { return in.busyTotal }
 
+// Flushes returns how many batches have been launched.
+func (in *Instance) Flushes() int64 { return in.flushes }
+
+// Stats snapshots every tenant queue's scheduling counters.
+func (in *Instance) Stats() []sched.TenantStats { return in.core.Stats() }
+
 // DeadlineExpired returns how many requests were dropped at dequeue because
 // their deadline budget had already been consumed in the queue.
-func (in *Instance) DeadlineExpired() int64 { return in.deadlineExpired }
+func (in *Instance) DeadlineExpired() (n int64) {
+	for _, st := range in.core.Stats() {
+		n += st.Expired
+	}
+	return n
+}
 
 // CoDelDropped returns how many requests the CoDel queue discipline shed.
 func (in *Instance) CoDelDropped() int64 { return in.codelDropped }
@@ -576,12 +628,6 @@ func (in *Instance) CoDelDropped() int64 { return in.codelDropped }
 // refused.
 func (in *Instance) Limited() int64 { return in.limited }
 
-// Pending returns the number of requests buffered or queued (not yet
-// completed) on this instance.
-func (in *Instance) Pending() int {
-	n := len(in.buffer) + len(in.queue)
-	if in.busy {
-		n++ // approximation: at least one request in service
-	}
-	return n
-}
+// Pending returns the number of admitted requests not yet answered:
+// queued plus in service — the live server's count.
+func (in *Instance) Pending() int { return in.core.Pending() + len(in.inflight) }

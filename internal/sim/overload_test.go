@@ -48,16 +48,22 @@ func TestInstanceDeadlineExpiredDroppedAtDequeue(t *testing.T) {
 	}
 }
 
-// A stale GPU buffer is filtered at batch assembly: when every buffered
-// request expired during the flush window, no batch launches at all.
-func TestInstanceBatchFiltersExpired(t *testing.T) {
-	eng := NewEngine()
-	in, err := NewInstance(eng, device.GPUT4(), "gru4rec", model.Config{CatalogSize: 1_000_000, Seed: 1}, true, 2*time.Millisecond, 1024)
+func t4Instance(t *testing.T, eng *Engine, flushEvery time.Duration, maxBatch int) *Instance {
+	t.Helper()
+	in, err := NewInstance(eng, device.GPUT4(), "gru4rec", model.Config{CatalogSize: 1_000_000, Seed: 1}, true, flushEvery, maxBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New(trace.Options{Clock: eng.Now})
-	in.SetTracer(tr)
+	return in
+}
+
+// A budget tighter than the flush window pulls the GPU flush forward to
+// deadline − slack (the live batcher's sched.Assembly policy, default
+// slack FlushEvery/4), so the batch launches in time and every request is
+// served.
+func TestInstanceBatchFlushesBeforeDeadline(t *testing.T) {
+	eng := NewEngine()
+	in := t4Instance(t, eng, 2*time.Millisecond, 1024)
 	in.SetResilience(Resilience{Budget: time.Millisecond}) // < 2ms flush window
 	var outcomes []Outcome
 	for i := 0; i < 8; i++ {
@@ -67,19 +73,66 @@ func TestInstanceBatchFiltersExpired(t *testing.T) {
 	if len(outcomes) != 8 {
 		t.Fatalf("completed %d/8", len(outcomes))
 	}
+	flushAt := time.Millisecond - 2*time.Millisecond/4
+	want := flushAt + device.GPUT4().BatchInference(mustCost(t, "gru4rec", 1_000_000, 3), 8, true)
 	for i, o := range outcomes {
+		if o.Err != nil || o.Latency != want {
+			t.Fatalf("request %d: %+v, want served in %v (flush at %v + batch service)", i, o, want, flushAt)
+		}
+	}
+	if got := in.DeadlineExpired(); got != 0 {
+		t.Fatalf("DeadlineExpired() = %d, want 0", got)
+	}
+}
+
+// A stale batch never launches: a wave that arrives while the device is
+// busy, and whose budget runs out before the device frees, is answered
+// ErrDeadlineExpired at the next assembly without a flush or an encoder
+// pass.
+func TestInstanceBatchFiltersExpired(t *testing.T) {
+	eng := NewEngine()
+	in := t4Instance(t, eng, 2*time.Millisecond, 1024)
+	tr := trace.New(trace.Options{Clock: eng.Now})
+	in.SetTracer(tr)
+	const budget = time.Millisecond
+	in.SetResilience(Resilience{Budget: budget})
+	service := device.GPUT4().BatchInference(mustCost(t, "gru4rec", 1_000_000, 3), 8, true)
+	firstFlush := budget - 2*time.Millisecond/4
+	secondArrival := firstFlush + 100*time.Microsecond
+	if firstFlush+service <= secondArrival+budget {
+		t.Fatalf("batch service %v too short for the second wave to expire in the queue", service)
+	}
+	var first, second []Outcome
+	for i := 0; i < 8; i++ {
+		in.SubmitOutcome(3, func(o Outcome) { first = append(first, o) })
+	}
+	eng.Schedule(secondArrival, func() {
+		for i := 0; i < 8; i++ {
+			in.SubmitOutcome(3, func(o Outcome) { second = append(second, o) })
+		}
+	})
+	eng.Drain()
+	if len(first) != 8 || len(second) != 8 {
+		t.Fatalf("completed %d/8 and %d/8", len(first), len(second))
+	}
+	for i, o := range first {
+		if o.Err != nil {
+			t.Fatalf("first wave request %d: %v", i, o.Err)
+		}
+	}
+	for i, o := range second {
 		if !errors.Is(o.Err, ErrDeadlineExpired) {
-			t.Fatalf("request %d: err = %v, want ErrDeadlineExpired", i, o.Err)
+			t.Fatalf("second wave request %d: err = %v, want ErrDeadlineExpired", i, o.Err)
 		}
 	}
 	if got := in.DeadlineExpired(); got != 8 {
 		t.Fatalf("DeadlineExpired() = %d, want 8", got)
 	}
-	if enc := tr.StageSnapshot(trace.StageEncoderForward); enc.Count != 0 {
-		t.Fatalf("encoder spans = %d, want 0: the stale batch must not launch", enc.Count)
+	if enc := tr.StageSnapshot(trace.StageEncoderForward); enc.Count != 8 {
+		t.Fatalf("encoder spans = %d, want 8: the stale wave must not launch", enc.Count)
 	}
-	if flushes, _, _ := tr.BatchStats(); flushes != 0 {
-		t.Fatalf("batch flushes = %d, want 0", flushes)
+	if flushes, _, _ := tr.BatchStats(); flushes != 1 || in.Flushes() != 1 {
+		t.Fatalf("batch flushes = %d (instance %d), want 1", flushes, in.Flushes())
 	}
 }
 

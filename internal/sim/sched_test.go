@@ -13,7 +13,7 @@ import (
 	"etude/internal/trace"
 )
 
-func newSchedT4(t *testing.T, eng *Engine, scfg sched.Config) *SchedInstance {
+func newSchedT4(t *testing.T, eng *Engine, scfg sched.Config) *Instance {
 	t.Helper()
 	in, err := NewSchedInstance(eng, device.GPUT4(), "gru4rec", model.Config{CatalogSize: 1_000_000, Seed: 1}, true, scfg)
 	if err != nil {
@@ -22,7 +22,7 @@ func newSchedT4(t *testing.T, eng *Engine, scfg sched.Config) *SchedInstance {
 	return in
 }
 
-func schedStatsFor(in *SchedInstance, tenant string) sched.TenantStats {
+func schedStatsFor(in *Instance, tenant string) sched.TenantStats {
 	for _, s := range in.Stats() {
 		if s.Tenant == tenant {
 			return s
@@ -49,7 +49,7 @@ func TestSchedInstanceServesAll(t *testing.T) {
 		delay := time.Duration(i) * 100 * time.Microsecond
 		tn := tenant
 		eng.Schedule(delay, func() {
-			in.Submit(tn, 10, 0, func(o Outcome) {
+			in.SubmitTenant(tn, 10, 0, func(o Outcome) {
 				if o.Err != nil {
 					t.Errorf("unexpected error: %v", o.Err)
 					return
@@ -96,7 +96,7 @@ func TestSchedInstanceDeterministic(t *testing.T) {
 			delay := time.Duration(i) * 37 * time.Microsecond
 			tn, idx := tenant, i
 			eng.Schedule(delay, func() {
-				in.Submit(tn, 5+idx%20, 30*time.Millisecond, func(o Outcome) {
+				in.SubmitTenant(tn, 5+idx%20, 30*time.Millisecond, func(o Outcome) {
 					out += fmt.Sprintf("%d:%v:%v;", idx, o.Latency, o.Err)
 				})
 			})
@@ -126,7 +126,7 @@ func TestSchedInstanceWDRRShares(t *testing.T) {
 		tn := tenant
 		for at := time.Duration(0); at < horizon; at += 20 * time.Microsecond {
 			eng.Schedule(at, func() {
-				in.Submit(tn, 10, 0, func(Outcome) {})
+				in.SubmitTenant(tn, 10, 0, func(Outcome) {})
 			})
 		}
 	}
@@ -177,7 +177,7 @@ func TestSchedInstanceFlashCrowdIsolation(t *testing.T) {
 		const horizon = 300 * time.Millisecond
 		for at := time.Duration(0); at < horizon; at += time.Millisecond {
 			eng.Schedule(at, func() {
-				in.Submit(tenantOf("b"), 10, 0, func(o Outcome) {
+				in.SubmitTenant(tenantOf("b"), 10, 0, func(o Outcome) {
 					if o.Err == nil {
 						victim = append(victim, o.Latency)
 					}
@@ -189,7 +189,7 @@ func TestSchedInstanceFlashCrowdIsolation(t *testing.T) {
 			// genuinely saturates rather than just raising utilisation.
 			for at := 50 * time.Millisecond; at < 150*time.Millisecond; at += 10 * time.Microsecond {
 				eng.Schedule(at, func() {
-					in.Submit(tenantOf("a"), 10, 0, func(Outcome) {})
+					in.SubmitTenant(tenantOf("a"), 10, 0, func(Outcome) {})
 				})
 			}
 		}
@@ -230,12 +230,12 @@ func TestSchedInstanceExpiresDeadEntries(t *testing.T) {
 	// Saturate the device so the late submission has to queue past its
 	// tiny budget.
 	for i := 0; i < 64; i++ {
-		in.Submit("t", 10, 0, func(Outcome) {})
+		in.SubmitTenant("t", 10, 0, func(Outcome) {})
 	}
 	var gotErr error
 	fired := false
 	eng.Schedule(time.Millisecond, func() {
-		in.Submit("t", 10, 100*time.Microsecond, func(o Outcome) {
+		in.SubmitTenant("t", 10, 100*time.Microsecond, func(o Outcome) {
 			fired = true
 			gotErr = o.Err
 		})
@@ -262,7 +262,7 @@ func TestSchedInstanceShedsAtQueueBound(t *testing.T) {
 	})
 	sheds := 0
 	for i := 0; i < 12; i++ {
-		in.Submit("t", 10, 0, func(o Outcome) {
+		in.SubmitTenant("t", 10, 0, func(o Outcome) {
 			if errors.Is(o.Err, ErrShed) {
 				sheds++
 			}
@@ -286,7 +286,7 @@ func TestSchedInstanceRecordsSchedWait(t *testing.T) {
 	// Fewer than the target batch: the flush waits out FlushEvery, so the
 	// sched-wait observations are non-zero (zero durations are skipped).
 	for i := 0; i < 4; i++ {
-		in.Submit("t", 10, 0, func(Outcome) {})
+		in.SubmitTenant("t", 10, 0, func(Outcome) {})
 	}
 	eng.Drain()
 	snap := tr.StageSnapshot(trace.StageSchedWait)
