@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,11 +14,6 @@ import (
 	"etude/internal/topk"
 	"etude/internal/trace"
 )
-
-// errShardSkipped marks a shard sub-request never sent because the group's
-// breaker was open — a miss for coverage accounting, but not a health
-// signal to feed back into the breaker.
-var errShardSkipped = errors.New("shard: skipped by open group breaker")
 
 // Picker routes one shard group's sub-requests across that group's replica
 // pods and accepts outcome feedback for its health state.
@@ -52,7 +46,7 @@ type GatewayConfig struct {
 }
 
 // Gateway is the cross-pod scatter-gather frontend of a sharded fleet: one
-// Picker per shard group. Predict scatters the request to every shard,
+// Picker per shard group. PredictPartial scatters the request to every shard,
 // optionally hedges stragglers with a backup sub-request to another
 // replica of the same shard (first response wins, loser cancelled via its
 // context), and merges the partial top-k lists into the exact global
@@ -66,14 +60,12 @@ type GatewayConfig struct {
 // outright so a dead group costs nothing per request instead of a
 // sub-request timeout.
 type Gateway struct {
-	shards   []Picker
-	cfg      GatewayConfig
-	client   *http.Client
-	timer    *hedgeTimer
-	stats    HedgeStats
-	pstats   PartialStats
-	breakers []*groupBreaker
-	tracer   *trace.Tracer
+	shards []Picker
+	cfg    GatewayConfig
+	client *http.Client
+	core   *gatherCore
+	epoch  time.Time // the core's clock reads wall time since here
+	tracer *trace.Tracer
 }
 
 // NewGateway builds a gateway over one Picker per shard group.
@@ -88,16 +80,12 @@ func NewGateway(shards []Picker, cfg GatewayConfig) (*Gateway, error) {
 		cfg.Timeout = time.Second
 	}
 	cfg.Policy = cfg.Policy.withDefaults()
-	breakers := make([]*groupBreaker, len(shards))
-	for i := range breakers {
-		breakers[i] = newGroupBreaker(cfg.Policy)
-	}
 	return &Gateway{
-		shards:   shards,
-		cfg:      cfg,
-		client:   &http.Client{Transport: cfg.Transport},
-		timer:    newHedgeTimer(cfg.Hedge),
-		breakers: breakers,
+		shards: shards,
+		cfg:    cfg,
+		client: &http.Client{Transport: cfg.Transport},
+		core:   newGatherCore(len(shards), cfg.Policy, cfg.Hedge),
+		epoch:  time.Now(),
 	}, nil
 }
 
@@ -109,10 +97,10 @@ func (g *Gateway) SetTracer(t *trace.Tracer) { g.tracer = t }
 func (g *Gateway) Shards() int { return len(g.shards) }
 
 // Stats returns the gateway's hedge counters.
-func (g *Gateway) Stats() *HedgeStats { return &g.stats }
+func (g *Gateway) Stats() *HedgeStats { return &g.core.stats }
 
 // PartialStats returns the gateway's partial-serving counters.
-func (g *Gateway) PartialStats() *PartialStats { return &g.pstats }
+func (g *Gateway) PartialStats() *PartialStats { return &g.core.pstats }
 
 // Policy returns the gateway's effective (defaulted) serving policy.
 func (g *Gateway) Policy() Policy { return g.cfg.Policy }
@@ -120,19 +108,8 @@ func (g *Gateway) Policy() Policy { return g.cfg.Policy }
 // WriteMetrics appends the hedge and partial-serving counters to a
 // Prometheus exposition.
 func (g *Gateway) WriteMetrics(pb *metrics.PromBuilder) {
-	g.stats.WriteMetrics(pb)
-	g.pstats.WriteMetrics(pb)
-}
-
-// Predict scatters the request to every shard group, gathers the partial
-// top-k lists and merges them — PredictPartial without the coverage
-// metadata, for callers that only want the list.
-func (g *Gateway) Predict(ctx context.Context, req httpapi.PredictRequest) ([]topk.Result, error) {
-	pr, err := g.PredictPartial(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Recs, nil
+	g.core.stats.WriteMetrics(pb)
+	g.core.pstats.WriteMetrics(pb)
 }
 
 // PredictPartial scatters the request to every shard group, gathers the
@@ -143,195 +120,126 @@ func (g *Gateway) Predict(ctx context.Context, req httpapi.PredictRequest) ([]to
 // unsharded top-k); under PolicyPartial the merge proceeds as long as
 // ⌈MinCoverage·S⌉ shards answered, and a CoverageError reports the floor
 // being missed.
+//
+// Every decision is the gather core's; this is its live driver: one
+// goroutine per attempt, wall-clock hedge timers and context cancel, all
+// feeding one select loop.
 func (g *Gateway) PredictPartial(ctx context.Context, req httpapi.PredictRequest) (*PartialResult, error) {
-	partialMode := g.cfg.Policy.Mode == PolicyPartial
 	sp := g.tracer.Start(req.RequestID)
 	scatterStart := sp.Now()
-	type shardResult struct {
-		idx     int
-		recs    []topk.Result
-		err     error
-		skipped bool
-	}
-	results := make(chan shardResult, len(g.shards))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	for i := range g.shards {
-		if partialMode && !g.breakers[i].allow() {
-			// Brownout: a group whose breaker is open is a known miss — skip
-			// it for free instead of paying a sub-request timeout per request.
-			g.pstats.RecordSkipped()
-			results <- shardResult{idx: i, err: errShardSkipped, skipped: true}
-			continue
-		}
-		go func(i int) {
-			recs, err := g.fetchShard(ctx, i, req)
-			results <- shardResult{idx: i, recs: recs, err: err}
-		}(i)
+	d := &liveGather{
+		gw:      g,
+		ctx:     ctx,
+		req:     req,
+		primary: make([]string, len(g.shards)),
+		events:  make(chan func(), 3*len(g.shards)),
 	}
-	sp.ObserveSince(trace.StageShardScatter, scatterStart)
-	waitStart := sp.Now()
-	partials := make([][]topk.Result, len(g.shards))
-	minShards := g.cfg.Policy.MinShards(len(g.shards))
-	answered, missed := 0, 0
-	var firstErr error
-	for range g.shards {
-		r := <-results
-		if r.err != nil {
-			if !r.skipped && ctx.Err() == nil {
-				// Charge the group breaker only for genuine failures: a
-				// sub-request killed by our own cancel below is not shard
-				// health evidence.
-				g.breakers[r.idx].report(false)
-			}
-			missed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", r.idx, r.err)
-			}
-			if !partialMode {
-				cancel() // fail-fast: the other shards' work is moot
-			} else if len(g.shards)-missed < minShards {
-				cancel() // the coverage floor is unreachable; stop the rest
-			}
-			continue
-		}
-		g.breakers[r.idx].report(true)
-		answered++
-		partials[r.idx] = r.recs
-	}
-	sp.ObserveSince(trace.StageShardWait, waitStart)
-	if answered < minShards {
-		// The failed request still did (and traced) real scatter work — it
-		// must show up in the stage breakdown and error count, not vanish.
-		sp.FinishError()
-		if partialMode {
-			g.pstats.RecordFloorFailure()
-			return nil, &CoverageError{Answered: answered, Shards: len(g.shards), Min: minShards}
-		}
-		return nil, firstErr
-	}
-	mergeStart := sp.Now()
-	out := topk.MergePartial(partials, g.cfg.K)
-	if answered < len(g.shards) {
-		sp.ObserveSince(trace.StagePartialMerge, mergeStart)
-		g.pstats.RecordPartial(float64(answered) / float64(len(g.shards)))
-	} else {
-		sp.ObserveSince(trace.StageShardMerge, mergeStart)
-		g.pstats.RecordFull()
-	}
-	sp.Finish()
-	return &PartialResult{Recs: out, Answered: answered, Shards: len(g.shards)}, nil
-}
-
-// attempt is one sub-request's terminal state.
-type attempt struct {
-	recs   []topk.Result
-	err    error
-	backup bool
-}
-
-// fetchShard resolves one shard's partial top-k: a primary attempt, plus —
-// when hedging is on and the primary outlives the hedge delay — one backup
-// to another replica. First success wins and cancels the loser; the
-// request fails only when every launched attempt has failed.
-func (g *Gateway) fetchShard(ctx context.Context, shard int, req httpapi.PredictRequest) ([]topk.Result, error) {
-	var cancel context.CancelFunc
 	if dl, ok := ctx.Deadline(); ok && g.cfg.Policy.Mode == PolicyPartial {
 		// Straggler sub-deadline: under partial serving a slow shard is
 		// dropped while there is still deadline budget left to merge the
 		// survivors — it must not drag the whole request to the wire and
-		// leave nothing to serve.
-		rem := time.Until(dl)
-		if rem > 0 {
+		// leave nothing to serve. To the core it is one more shard failure.
+		if rem := time.Until(dl); rem > 0 {
 			sub := time.Duration(float64(rem) * g.cfg.Policy.StragglerFraction)
-			ctx, cancel = context.WithDeadline(ctx, time.Now().Add(sub))
+			var stop context.CancelFunc
+			d.ctx, stop = context.WithDeadline(ctx, time.Now().Add(sub))
+			defer stop()
 		}
 	}
-	if cancel == nil {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel() // cancels the losing attempt the moment a winner returns
-	outcomes := make(chan attempt, 2)
-	launch := func(backup bool, avoid string) (string, bool) {
-		url := g.shards[shard].PickURL()
-		if url == "" {
-			return "", false
+	gt := g.core.newGather(d)
+	d.g = gt
+	gt.start(g.now())
+	sp.ObserveSince(trace.StageShardScatter, scatterStart)
+	waitStart := sp.Now()
+	for !gt.done {
+		select {
+		case ev := <-d.events:
+			if err := ctx.Err(); err != nil {
+				gt.abort(err) // the caller's cancel, not the shards' failure
+			} else {
+				ev()
+			}
+		case <-ctx.Done():
+			gt.abort(ctx.Err())
 		}
-		if backup && url == avoid {
-			// Round-robin may hand back the primary's replica; one re-pick
-			// is enough to land elsewhere in a ≥2-replica group.
-			if next := g.shards[shard].PickURL(); next != "" {
-				url = next
-			}
-			if url == avoid {
-				// Single-replica group: every pick is the primary. A backup
-				// here would duplicate the request on the pod that is already
-				// slow — count the blind spot and skip it.
-				g.stats.RecordSameReplica()
-				return "", false
-			}
-		}
-		go func() {
-			start := time.Now()
-			recs, err := g.do(ctx, url, req)
-			if ctx.Err() == nil {
-				g.shards[shard].Report(url, err == nil)
-				if err == nil && !backup {
-					// Only winning primaries train the hedge delay: backups
-					// measure the hedge path and cancelled losers never
-					// finish, so anything else would drag the p95 upward.
-					g.timer.observe(time.Since(start))
-				}
-			}
-			outcomes <- attempt{recs: recs, err: err, backup: backup}
-		}()
-		return url, true
 	}
-	primaryURL, ok := launch(false, "")
-	if !ok {
+	sp.ObserveSince(trace.StageShardWait, waitStart)
+	if gt.err != nil {
+		// The failed request still did (and traced) real scatter work — it
+		// must show up in the stage breakdown and error count, not vanish.
+		sp.FinishError()
+		return nil, gt.err
+	}
+	mergeStart := sp.Now()
+	pr := &PartialResult{Recs: topk.MergePartial(gt.partials, g.cfg.K), Answered: gt.answered, Shards: len(g.shards)}
+	if pr.Partial() {
+		sp.ObserveSince(trace.StagePartialMerge, mergeStart)
+	} else {
+		sp.ObserveSince(trace.StageShardMerge, mergeStart)
+	}
+	sp.Finish()
+	return pr, nil
+}
+
+// liveGather carries out one request's gather actions over HTTP. Attempt
+// goroutines and hedge timers post the gather's inputs to events, and
+// PredictPartial's loop runs them one at a time.
+type liveGather struct {
+	gw      *Gateway
+	g       *gather
+	ctx     context.Context // the attempts' parent: the request, or its straggler sub-deadline
+	req     httpapi.PredictRequest
+	primary []string // per shard: the primary's replica URL
+	events  chan func()
+	timers  []*time.Timer
+}
+
+func (g *Gateway) now() time.Duration { return time.Since(g.epoch) }
+
+func (d *liveGather) send(a, s int, backup bool) (func(), error) {
+	p := d.gw.shards[s]
+	url := p.PickURL()
+	if url == "" {
 		return nil, &httpapi.StatusError{Code: http.StatusServiceUnavailable}
 	}
-	var hedgeC <-chan time.Time
-	if g.cfg.Hedge.Enabled {
-		timer := time.NewTimer(g.timer.delay())
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	outstanding := 1
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			// A backup is expected to take about as long as the hedge delay
-			// (the p95 of healthy sub-requests). If the caller's deadline
-			// cannot cover that, the backup is wasted work: it would be
-			// killed by the deadline before it could win.
-			if dl, hasDL := ctx.Deadline(); hasDL && time.Until(dl) < g.timer.delay() {
-				g.stats.RecordSuppressed()
-				continue
-			}
-			if _, ok := launch(true, primaryURL); ok {
-				g.stats.RecordSent()
-				outstanding++
-			}
-		case a := <-outcomes:
-			outstanding--
-			if a.err != nil {
-				if outstanding > 0 {
-					continue // the other attempt may still win
-				}
-				return nil, a.err
-			}
-			if outstanding > 0 {
-				g.stats.RecordCancelled() // the defer cancel() aborts the loser
-			}
-			if a.backup {
-				g.stats.RecordWin()
-			}
-			return a.recs, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	if backup && url == d.primary[s] {
+		// Round-robin may hand back the primary's replica; one re-pick is
+		// enough to land elsewhere in a ≥2-replica group.
+		if url = p.PickURL(); url == "" || url == d.primary[s] {
+			return nil, errSameReplica
 		}
+	}
+	if !backup {
+		d.primary[s] = url
+	}
+	ctx, cancel := context.WithCancel(d.ctx)
+	go func() {
+		recs, err := d.gw.do(ctx, url, d.req)
+		if ctx.Err() == nil {
+			p.Report(url, err == nil) // a cancelled attempt says nothing about the pod
+		}
+		d.events <- func() { d.g.outcome(a, d.gw.now(), recs, err) }
+	}()
+	return cancel, nil
+}
+
+func (d *liveGather) armHedge(s int, after time.Duration) {
+	d.timers = append(d.timers, time.AfterFunc(after, func() {
+		d.events <- func() {
+			budget := noDeadline
+			if dl, ok := d.ctx.Deadline(); ok {
+				budget = time.Until(dl)
+			}
+			d.g.hedgeFired(s, d.gw.now(), budget)
+		}
+	}))
+}
+
+func (d *liveGather) finish(*gather) {
+	for _, t := range d.timers {
+		t.Stop()
 	}
 }
 

@@ -56,10 +56,11 @@ func TestGatewayMatchesUnshardedModel(t *testing.T) {
 	}
 	for _, session := range [][]int64{{1}, {5, 900, 1999}, {42, 42, 42, 17}, {1500, 3, 77, 256, 1024}} {
 		want := m.Recommend(session)
-		got, err := gw.Predict(context.Background(), httpapi.PredictRequest{SessionID: 1, Items: session})
+		pr, err := gw.PredictPartial(context.Background(), httpapi.PredictRequest{SessionID: 1, Items: session})
 		if err != nil {
 			t.Fatalf("Predict(%v): %v", session, err)
 		}
+		got := pr.Recs
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("session %v: gateway top-k diverged\n got %v\nwant %v", session, got, want)
 		}
@@ -119,10 +120,11 @@ func TestGatewayHedgesSlowReplica(t *testing.T) {
 	}
 	session := []int64{7, 31, 499}
 	start := time.Now()
-	got, err := gw.Predict(context.Background(), httpapi.PredictRequest{SessionID: 2, Items: session})
+	pr, err := gw.PredictPartial(context.Background(), httpapi.PredictRequest{SessionID: 2, Items: session})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := pr.Recs
 	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
 		t.Fatalf("hedged request took %v: waited for the slow primary", elapsed)
 	}
@@ -171,7 +173,7 @@ func TestGatewayHedgeSuppressedOnExhaustedBudget(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
-	if _, err := gw.Predict(ctx, httpapi.PredictRequest{SessionID: 4, Items: []int64{7, 31}}); err == nil {
+	if _, err := gw.PredictPartial(ctx, httpapi.PredictRequest{SessionID: 4, Items: []int64{7, 31}}); err == nil {
 		t.Fatal("expected the deadline to expire with the hedge suppressed")
 	}
 	st := gw.Stats()
@@ -197,7 +199,7 @@ func TestGatewayFailsWhenShardUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gw.Predict(context.Background(), httpapi.PredictRequest{SessionID: 3, Items: []int64{1}}); err == nil {
+	if _, err := gw.PredictPartial(context.Background(), httpapi.PredictRequest{SessionID: 3, Items: []int64{1}}); err == nil {
 		t.Fatal("expected the scatter to fail with shard 1 unavailable")
 	}
 }

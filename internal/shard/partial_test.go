@@ -178,7 +178,7 @@ func TestGatewayFailedRequestsAppearInTraceStats(t *testing.T) {
 	}
 	tr := trace.New(trace.Options{})
 	gw.SetTracer(tr)
-	if _, err := gw.Predict(context.Background(), httpapi.PredictRequest{SessionID: 3, Items: []int64{1}}); err == nil {
+	if _, err := gw.PredictPartial(context.Background(), httpapi.PredictRequest{SessionID: 3, Items: []int64{1}}); err == nil {
 		t.Fatal("expected the scatter to fail with shard 1 unavailable")
 	}
 	if got := tr.ErrorCount(); got != 1 {
@@ -221,10 +221,11 @@ func TestGatewayHedgeSameReplicaSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	session := []int64{7, 31, 499}
-	got, err := gw.Predict(context.Background(), httpapi.PredictRequest{SessionID: 2, Items: session})
+	pr, err := gw.PredictPartial(context.Background(), httpapi.PredictRequest{SessionID: 2, Items: session})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := pr.Recs
 	if want := m.Recommend(session); !reflect.DeepEqual(got, want) {
 		t.Fatalf("result diverged\n got %v\nwant %v", got, want)
 	}

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -221,58 +220,6 @@ func (s *PartialStats) WriteMetrics(pb *metrics.PromBuilder) {
 		"Requests failed because surviving shard coverage fell below the policy floor.", float64(s.FloorFailures()))
 	pb.Gauge("etude_coverage_last",
 		"Coverage fraction of the most recent scatter response (1 = full catalog).", s.LastCoverage())
-}
-
-// groupBreaker is the gateway's per-shard-group circuit breaker: after
-// `threshold` consecutive scatter failures the group is skipped for
-// `cooldown` — the brownout that keeps a blacked-out shard from charging
-// every request a full sub-request timeout. The per-pod breakers inside a
-// cluster.Balancer eject individual replicas; this breaker ejects the whole
-// group, which matters exactly when every replica is gone and the Picker
-// still hands out URLs (static pickers) or dials dead backends.
-type groupBreaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-
-	mu        sync.Mutex
-	fails     int
-	openUntil time.Time
-}
-
-func newGroupBreaker(p Policy) *groupBreaker {
-	p = p.withDefaults()
-	return &groupBreaker{threshold: p.BreakerThreshold, cooldown: p.BreakerCooldown, now: time.Now}
-}
-
-// allow reports whether the group should receive a sub-request: true while
-// the breaker is closed, and again once an open breaker's cooldown has
-// elapsed (the half-open probe — a failure re-opens it for another
-// cooldown).
-func (b *groupBreaker) allow() bool {
-	if b == nil || b.threshold < 0 {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fails < b.threshold || !b.now().Before(b.openUntil)
-}
-
-// report feeds one sub-request outcome into the breaker.
-func (b *groupBreaker) report(ok bool) {
-	if b == nil || b.threshold < 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.fails = 0
-		return
-	}
-	b.fails++
-	if b.fails >= b.threshold {
-		b.openUntil = b.now().Add(b.cooldown)
-	}
 }
 
 // StaticPicker is a Picker over a fixed replica URL set with plain

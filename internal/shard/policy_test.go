@@ -69,42 +69,41 @@ func TestPartialResultCoverage(t *testing.T) {
 }
 
 func TestGroupBreakerOpensAndProbes(t *testing.T) {
-	now := time.Unix(1000, 0)
+	now := 1000 * time.Second
 	b := newGroupBreaker(Policy{BreakerThreshold: 3, BreakerCooldown: 500 * time.Millisecond})
-	b.now = func() time.Time { return now }
 
 	for i := 0; i < 2; i++ {
-		b.report(false)
-		if !b.allow() {
+		b.report(false, now)
+		if !b.allow(now) {
 			t.Fatalf("breaker opened after %d failures, threshold is 3", i+1)
 		}
 	}
-	b.report(false) // third consecutive failure: opens
-	if b.allow() {
+	b.report(false, now) // third consecutive failure: opens
+	if b.allow(now) {
 		t.Fatal("breaker still closed after reaching the threshold")
 	}
-	now = now.Add(499 * time.Millisecond)
-	if b.allow() {
+	now += 499 * time.Millisecond
+	if b.allow(now) {
 		t.Fatal("breaker let a request through before the cooldown elapsed")
 	}
-	now = now.Add(2 * time.Millisecond)
-	if !b.allow() {
+	now += 2 * time.Millisecond
+	if !b.allow(now) {
 		t.Fatal("breaker did not allow a probe after the cooldown")
 	}
-	b.report(false) // probe failed: re-opens for another cooldown
-	if b.allow() {
+	b.report(false, now) // probe failed: re-opens for another cooldown
+	if b.allow(now) {
 		t.Fatal("breaker closed again after a failed probe")
 	}
-	now = now.Add(501 * time.Millisecond)
-	if !b.allow() {
+	now += 501 * time.Millisecond
+	if !b.allow(now) {
 		t.Fatal("re-opened breaker did not allow the next probe")
 	}
-	b.report(true) // probe succeeded: closes and resets the failure count
-	if !b.allow() {
+	b.report(true, now) // probe succeeded: closes and resets the failure count
+	if !b.allow(now) {
 		t.Fatal("breaker open after a successful probe")
 	}
-	b.report(false)
-	if !b.allow() {
+	b.report(false, now)
+	if !b.allow(now) {
 		t.Fatal("one failure after a success must not re-open the breaker")
 	}
 }
@@ -112,16 +111,16 @@ func TestGroupBreakerOpensAndProbes(t *testing.T) {
 func TestGroupBreakerDisabled(t *testing.T) {
 	b := newGroupBreaker(Policy{BreakerThreshold: -1})
 	for i := 0; i < 10; i++ {
-		b.report(false)
+		b.report(false, 0)
 	}
-	if !b.allow() {
+	if !b.allow(0) {
 		t.Fatal("disabled breaker must always allow")
 	}
 	var nilB *groupBreaker
-	if !nilB.allow() {
+	if !nilB.allow(0) {
 		t.Fatal("nil breaker must allow")
 	}
-	nilB.report(false) // must not panic
+	nilB.report(false, 0) // must not panic
 }
 
 func TestStaticPicker(t *testing.T) {

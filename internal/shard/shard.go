@@ -22,9 +22,15 @@
 //     optional tail-latency hedging — a backup sub-request to a replica of
 //     the same shard after a p95-based delay, first response wins, loser
 //     cancelled;
-//   - simulated: SimFleet mirrors scatter/merge/hedge on the discrete-event
-//     engine, with per-shard service time taken from the sliced cost model
-//     (SliceCost) and the merge cost explicit (MergeOps).
+//   - simulated: SimFleet runs the same scatter/merge/hedge on the
+//     discrete-event engine, with per-shard service time taken from the
+//     sliced cost model (SliceCost) and the merge cost explicit (MergeOps).
+//
+// The last two make every per-request decision — hedge, cancel, skip a
+// group whose breaker is open, declare a shard missed, finish — in one
+// clock-free state machine, the gather core (gather.go); Gateway drives it
+// with goroutines, wall-clock timers and context cancel, SimFleet with
+// engine events.
 package shard
 
 import (

@@ -36,25 +36,21 @@ type SimConfig struct {
 	// selected with no FallbackDelay, the fallback defaults to 2× the
 	// expected per-shard service time from the cost model.
 	Hedge HedgeConfig
-	// Policy is the partial-result serving policy, mirrored exactly from
-	// the live gateway (zero value: strict fail-fast).
+	// Policy is the partial-result serving policy (zero value: strict
+	// fail-fast), decided by the same gather core as the live gateway's,
+	// group breakers included.
 	Policy Policy
-	// ShardTimeout is the sim mirror of the gateway's straggler
-	// sub-deadline: under PolicyPartial a shard whose scatter is still
-	// unresolved after this long is declared missed and the gather proceeds
-	// without it (0 = no per-shard timeout).
-	ShardTimeout time.Duration
 }
 
-// SimFleet mirrors the live scatter-gather tier on the discrete-event
-// engine: a frontend that pays the session-encoder service time once,
-// scatters to one worker per shard group (per-shard service time = the
-// sliced cost model), gathers the partial top-k completions, pays the
-// explicit merge cost, and completes the request — with the same hedging
-// semantics as the live gateway (backup to another replica after a
-// p95-based delay, first response wins, the loser's response is discarded
-// and counted as cancelled; an in-flight catalog scan cannot be aborted,
-// so the loser still occupies its worker).
+// SimFleet is the scatter-gather tier on the discrete-event engine: a
+// frontend that pays the session-encoder service time once, scatters to one
+// worker per shard group (per-shard service time = the sliced cost model),
+// gathers the partial top-k completions, pays the explicit merge cost, and
+// completes the request. Every scatter-gather decision — hedging, group
+// breakers, the coverage floor — is the gather core's, the same core the
+// live Gateway drives; SimFleet only drives it with engine events. An
+// in-flight catalog scan cannot be aborted, so a cancelled loser still
+// occupies its worker and its late answer is ignored.
 //
 // The frontend is modelled as dedicated capacity (pure delay): the queued
 // resources are the shard workers, which is where sharding and hedging
@@ -67,18 +63,15 @@ type SimFleet struct {
 	groups [][]*sim.Instance
 	rr     []int
 
-	fullCosts []model.Cost // per session length; the encoder-time source
+	// encTimes is the frontend's encoder service time per session length —
+	// the C-independent term the shard workers no longer pay.
+	encTimes  []time.Duration
 	mergeTime time.Duration
 
-	timer    *hedgeTimer
-	stats    HedgeStats
-	pstats   PartialStats
+	core     *gatherCore
 	waitHist *metrics.Histogram
 	tracer   *trace.Tracer
 }
-
-// errShardTimeout marks a sim shard dropped by the straggler sub-deadline.
-var errShardTimeout = fmt.Errorf("shard: sub-request straggler deadline exceeded")
 
 // NewSimFleet builds the simulated tier: Shards × Replicas workers, each
 // serving the per-shard slice of the model's cost table.
@@ -95,20 +88,19 @@ func NewSimFleet(eng *sim.Engine, cfg SimConfig) (*SimFleet, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = cfg.Device.MaxBatch
 	}
-	fullCosts := make([]model.Cost, cfg.ModelCfg.MaxSessionLen+1)
-	sliced := make([]model.Cost, len(fullCosts))
-	for l := 1; l < len(fullCosts); l++ {
+	encTimes := make([]time.Duration, cfg.ModelCfg.MaxSessionLen+1)
+	sliced := make([]model.Cost, len(encTimes))
+	for l := 1; l < len(encTimes); l++ {
 		c, err := model.EstimateCost(cfg.Model, cfg.ModelCfg, l)
 		if err != nil {
 			return nil, err
 		}
-		fullCosts[l] = c
+		encTimes[l] = cfg.Device.ParallelInference(model.Cost{Catalog: c.Catalog, Dim: c.Dim, EncoderFLOPs: c.EncoderFLOPs}, cfg.JIT)
 		sliced[l] = SliceCost(c, cfg.Shards)
 	}
 	if cfg.Hedge.Enabled && cfg.Hedge.Delay == 0 && cfg.Hedge.FallbackDelay == 0 {
 		cfg.Hedge.FallbackDelay = 2 * cfg.Device.ParallelInference(sliced[1], cfg.JIT)
 	}
-	cfg.Policy = cfg.Policy.withDefaults()
 	k := cfg.ModelCfg.TopK
 	if k == 0 {
 		k = model.DefaultTopK
@@ -118,9 +110,9 @@ func NewSimFleet(eng *sim.Engine, cfg SimConfig) (*SimFleet, error) {
 		cfg:       cfg,
 		groups:    make([][]*sim.Instance, cfg.Shards),
 		rr:        make([]int, cfg.Shards),
-		fullCosts: fullCosts,
+		encTimes:  encTimes,
 		mergeTime: time.Duration(MergeOps(cfg.Shards, k) / cfg.Device.CoreFLOPs * float64(time.Second)),
-		timer:     newHedgeTimer(cfg.Hedge),
+		core:      newGatherCore(cfg.Shards, cfg.Policy, cfg.Hedge),
 		waitHist:  metrics.NewHistogram(),
 	}
 	for s := range f.groups {
@@ -147,10 +139,10 @@ func (f *SimFleet) Instances() []*sim.Instance {
 }
 
 // Stats returns the fleet's hedge counters.
-func (f *SimFleet) Stats() *HedgeStats { return &f.stats }
+func (f *SimFleet) Stats() *HedgeStats { return &f.core.stats }
 
 // PartialStats returns the fleet's partial-serving counters.
-func (f *SimFleet) PartialStats() *PartialStats { return &f.pstats }
+func (f *SimFleet) PartialStats() *PartialStats { return &f.core.pstats }
 
 // WaitSnapshot summarises the per-request scatter→gather wait — the
 // sharded MIPS portion of the request, the term that divides by S.
@@ -162,231 +154,93 @@ func (f *SimFleet) WaitSnapshot() metrics.Snapshot { return f.waitHist.Snapshot(
 // the simulator and therefore absent.
 func (f *SimFleet) SetTracer(t *trace.Tracer) { f.tracer = t }
 
-// encTime is the frontend's encoder service time for a session length —
-// the C-independent term the shard workers no longer pay.
-func (f *SimFleet) encTime(sessionLen int) time.Duration {
-	if sessionLen < 1 {
-		sessionLen = 1
-	}
-	if sessionLen >= len(f.fullCosts) {
-		sessionLen = len(f.fullCosts) - 1
-	}
-	c := f.fullCosts[sessionLen]
-	encOnly := model.Cost{Catalog: c.Catalog, Dim: c.Dim, EncoderFLOPs: c.EncoderFLOPs}
-	return f.cfg.Device.ParallelInference(encOnly, f.cfg.JIT)
-}
-
-// pickReplica round-robins within a shard group, avoiding `avoid` when the
-// group has an alternative (a backup must land on a different replica).
-// Backup picks do not advance the rotation — otherwise a hedged request
-// consumes two cursor steps and, in a two-replica group, every primary
-// lands on the same replica forever.
-func (f *SimFleet) pickReplica(s int, avoid *sim.Instance) *sim.Instance {
-	group := f.groups[s]
-	if avoid != nil {
-		for _, in := range group {
-			if in != avoid {
-				return in
-			}
-		}
-		return group[0]
-	}
-	in := group[f.rr[s]%len(group)]
-	f.rr[s]++
-	return in
-}
-
 // Submit runs one request through the tier; done fires exactly once with
 // the end-to-end outcome.
 func (f *SimFleet) Submit(sessionLen int, done func(sim.Outcome)) {
-	t0 := f.eng.Now()
-	sp := f.tracer.Start("")
-	enc := f.encTime(sessionLen)
+	d := &simGather{f: f, t0: f.eng.Now(), sessionLen: sessionLen, done: done,
+		sp: f.tracer.Start(""), primary: make([]*sim.Instance, len(f.groups))}
+	enc := f.encTimes[max(1, min(sessionLen, len(f.encTimes)-1))]
 	f.eng.Schedule(enc, func() {
-		sp.Observe(trace.StageEncoderForward, enc)
-		st := &gatherState{
-			f:           f,
-			t0:          t0,
-			scatterAt:   f.eng.Now(),
-			sessionLen:  sessionLen,
-			done:        done,
-			sp:          sp,
-			remaining:   len(f.groups),
-			shardDone:   make([]bool, len(f.groups)),
-			missed:      make([]bool, len(f.groups)),
-			outstanding: make([]int, len(f.groups)),
-			primary:     make([]*sim.Instance, len(f.groups)),
-		}
-		partialMode := f.cfg.Policy.Mode == PolicyPartial
-		for s := range f.groups {
-			st.launch(s, false)
-			if st.finished {
-				return // a down shard group failed the request synchronously
-			}
-			if st.shardDone[s] || st.missed[s] {
-				continue // resolved synchronously; nothing to hedge or time out
-			}
-			if f.cfg.Hedge.Enabled && len(f.groups[s]) > 1 {
-				st.armHedge(s)
-			}
-			if partialMode && f.cfg.ShardTimeout > 0 {
-				st.armTimeout(s)
-			}
-		}
+		d.sp.Observe(trace.StageEncoderForward, enc)
+		d.scatterAt = f.eng.Now()
+		d.g = f.core.newGather(d)
+		d.g.start(d.scatterAt)
 	})
 }
 
-// gatherState tracks one request's scatter across the shard groups.
-type gatherState struct {
+// simGather carries out one request's gather actions on the engine.
+type simGather struct {
 	f          *SimFleet
+	g          *gather
 	t0         time.Duration
 	scatterAt  time.Duration
 	sessionLen int
 	done       func(sim.Outcome)
 	sp         *trace.Span
-
-	remaining   int
-	finished    bool // terminal: done already fired (or is scheduled)
-	shardDone   []bool
-	missed      []bool
-	outstanding []int
-	primary     []*sim.Instance
+	primary    []*sim.Instance
 }
 
-// launch sends one sub-request to shard s, reporting whether it was
-// actually sent (a backup whose only pick is the primary's replica is
-// skipped — the single-replica hedge blind spot).
-func (st *gatherState) launch(s int, backup bool) bool {
-	var avoid *sim.Instance
-	if backup {
-		avoid = st.primary[s]
+func (d *simGather) send(a, s int, backup bool) (func(), error) {
+	// Primaries round-robin within the group; a backup goes to the first
+	// replica that is not the primary's and does not advance the rotation —
+	// otherwise a hedged request consumes two cursor steps and, in a
+	// two-replica group, every primary lands on the same replica forever.
+	group := d.f.groups[s]
+	var in *sim.Instance
+	switch {
+	case !backup:
+		in = group[d.f.rr[s]%len(group)]
+		d.f.rr[s]++
+		d.primary[s] = in
+	case group[0] != d.primary[s]:
+		in = group[0]
+	case len(group) > 1:
+		in = group[1]
+	default:
+		return nil, errSameReplica
 	}
-	in := st.f.pickReplica(s, avoid)
-	if backup && in == st.primary[s] {
-		st.f.stats.RecordSameReplica()
-		return false
-	}
-	if !backup {
-		st.primary[s] = in
-	}
-	st.outstanding[s]++
-	start := st.f.eng.Now()
-	in.SubmitOutcome(st.sessionLen, func(o sim.Outcome) { st.complete(s, backup, start, o) })
-	return true
-}
-
-func (st *gatherState) armHedge(s int) {
-	f := st.f
-	f.eng.Schedule(f.timer.delay(), func() {
-		if st.finished || st.shardDone[s] || st.missed[s] {
-			return
-		}
-		if st.launch(s, true) {
-			f.stats.RecordSent()
+	// A pod that is already down fails inside SubmitOutcome; its answer
+	// comes back as a later event, as a refused connection does live.
+	sent := false
+	in.SubmitOutcome(d.sessionLen, func(o sim.Outcome) {
+		report := func() { d.g.outcome(a, d.f.eng.Now(), nil, o.Err) }
+		if !sent {
+			d.f.eng.Schedule(0, report)
+		} else {
+			report()
 		}
 	})
+	sent = true
+	return nil, nil
 }
 
-// armTimeout schedules the straggler sub-deadline for shard s: if the shard
-// is still unresolved when it fires, the shard is declared missed and the
-// gather proceeds without it — a late completion then hits the missed guard
-// in complete and is dropped, exactly like the live gateway cancelling a
-// straggler's context.
-func (st *gatherState) armTimeout(s int) {
-	f := st.f
-	f.eng.Schedule(f.cfg.ShardTimeout, func() {
-		if st.finished || st.shardDone[s] || st.missed[s] {
-			return
-		}
-		st.shardFailed(s, errShardTimeout)
-	})
+func (d *simGather) armHedge(s int, after time.Duration) {
+	d.f.eng.Schedule(after, func() { d.g.hedgeFired(s, d.f.eng.Now(), noDeadline) })
 }
 
-func (st *gatherState) complete(s int, backup bool, start time.Duration, o sim.Outcome) {
-	f := st.f
-	if st.finished || st.shardDone[s] || st.missed[s] {
-		return // a discarded loser (already counted), a timed-out straggler, or a lost cause
-	}
-	st.outstanding[s]--
-	if o.Err != nil {
-		if st.outstanding[s] > 0 {
-			return // the hedged twin may still answer
-		}
-		st.shardFailed(s, o.Err)
+// finish completes the request: at once when the gather failed, after the
+// merge cost when it has a result.
+func (d *simGather) finish(g *gather) {
+	f := d.f
+	if g.err != nil {
+		total := f.eng.Now() - d.t0
+		d.sp.FinishErrorTotal(total)
+		d.done(sim.Outcome{Latency: total, Err: g.err})
 		return
 	}
-	st.shardDone[s] = true
-	if backup {
-		f.stats.RecordWin()
-	} else {
-		// Only winning primaries train the hedge delay (see hedgeTimer).
-		f.timer.observe(f.eng.Now() - start)
-	}
-	for i := 0; i < st.outstanding[s]; i++ {
-		f.stats.RecordCancelled()
-	}
-	st.remaining--
-	if st.remaining == 0 {
-		st.finish()
-	}
-}
-
-// shardFailed resolves shard s as a miss. Under fail-fast that is terminal
-// for the request; under partial serving the gather continues and the floor
-// check happens when the last shard resolves.
-func (st *gatherState) shardFailed(s int, err error) {
-	f := st.f
-	if f.cfg.Policy.Mode != PolicyPartial {
-		st.finished = true
-		total := f.eng.Now() - st.t0
-		st.sp.FinishErrorTotal(total)
-		st.sp = nil
-		st.done(sim.Outcome{Latency: total, Err: err})
-		return
-	}
-	st.missed[s] = true
-	st.remaining--
-	if st.remaining == 0 {
-		st.finish()
-	}
-}
-
-// finish resolves the gather once every shard has answered or been declared
-// missed: below the coverage floor the request fails with a CoverageError;
-// otherwise the merge cost is paid and the outcome carries the coverage.
-func (st *gatherState) finish() {
-	f := st.f
-	st.finished = true
-	shards := len(f.groups)
-	answered := 0
-	for _, d := range st.shardDone {
-		if d {
-			answered++
-		}
-	}
-	if min := f.cfg.Policy.MinShards(shards); answered < min {
-		f.pstats.RecordFloorFailure()
-		total := f.eng.Now() - st.t0
-		st.sp.FinishErrorTotal(total)
-		st.sp = nil
-		st.done(sim.Outcome{Latency: total, Err: &CoverageError{Answered: answered, Shards: shards, Min: min}})
-		return
-	}
-	wait := f.eng.Now() - st.scatterAt
+	wait := f.eng.Now() - d.scatterAt
 	f.waitHist.Record(wait)
-	st.sp.Observe(trace.StageShardWait, wait)
-	coverage := float64(answered) / float64(shards)
-	partial := answered < shards
+	d.sp.Observe(trace.StageShardWait, wait)
+	shards := len(f.groups)
+	partial := g.answered < shards
 	f.eng.Schedule(f.mergeTime, func() {
 		if partial {
-			st.sp.Observe(trace.StagePartialMerge, f.mergeTime)
-			f.pstats.RecordPartial(coverage)
+			d.sp.Observe(trace.StagePartialMerge, f.mergeTime)
 		} else {
-			st.sp.Observe(trace.StageShardMerge, f.mergeTime)
-			f.pstats.RecordFull()
+			d.sp.Observe(trace.StageShardMerge, f.mergeTime)
 		}
-		total := f.eng.Now() - st.t0
-		st.sp.FinishTotal(total)
-		st.done(sim.Outcome{Latency: total, Partial: partial, Coverage: coverage})
+		total := f.eng.Now() - d.t0
+		d.sp.FinishTotal(total)
+		d.done(sim.Outcome{Latency: total, Partial: partial, Coverage: float64(g.answered) / float64(shards)})
 	})
 }
