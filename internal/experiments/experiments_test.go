@@ -776,6 +776,8 @@ func TestDeployStudy(t *testing.T) {
 	byArm := map[string]DeployRow{}
 	for _, row := range res.Rows {
 		byArm[row.Arm] = row
+		t.Logf("%s arm: canary p99 %v over baseline p99 %v = %.1fx (%s)", row.Arm, row.CanaryP99, row.BaselineP99,
+			float64(row.CanaryP99)/float64(row.BaselineP99), row.Reason)
 		if row.Sent == 0 {
 			t.Errorf("arm %s issued no requests", row.Arm)
 		}

@@ -108,14 +108,15 @@ func SetCoverageHeader(h http.Header, frac float64) {
 }
 
 // Coverage parses the coverage header; ok is false when absent or
-// malformed (unsharded responses have no coverage, not zero coverage).
+// malformed — unparsable, NaN or outside [0, 1] (unsharded responses have
+// no coverage, not zero coverage).
 func Coverage(h http.Header) (float64, bool) {
 	v := h.Get(HeaderCoverage)
 	if v == "" {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // written so that NaN fails too
 		return 0, false
 	}
 	return f, true

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -114,4 +115,36 @@ func TestInferenceDurationMalformed(t *testing.T) {
 	if got := InferenceDuration(h); got != 0 {
 		t.Fatalf("malformed header = %v, want 0", got)
 	}
+}
+
+// Whatever SetCoverageHeader writes for a fraction in [0, 1] parses back
+// to within its four-decimal rounding, and whatever Coverage accepts —
+// from any header value, "NaN" and "Inf" included — is a finite fraction
+// in [0, 1].
+func FuzzCoverage(f *testing.F) {
+	for _, seed := range []struct {
+		frac float64
+		raw  string
+	}{
+		{0.75, "NaN"}, {1, "+Inf"}, {0, "-Inf"}, {0.5, "-0"}, {0.99996, "1.00001"},
+		{0.00005, "0x1p-1"}, {0.3333, "nan"}, {1, "1e-400"},
+	} {
+		f.Add(seed.frac, seed.raw)
+	}
+	f.Fuzz(func(t *testing.T, frac float64, raw string) {
+		h := http.Header{}
+		if frac >= 0 && frac <= 1 {
+			SetCoverageHeader(h, frac)
+			got, ok := Coverage(h)
+			// 5e-5 is half the last written decimal; 1e-12 absorbs the
+			// binary representation of the decimal read back.
+			if !ok || math.Abs(got-frac) > 5e-5+1e-12 {
+				t.Fatalf("SetCoverageHeader(%v) wrote %q, read back %v (ok=%v)", frac, h.Get(HeaderCoverage), got, ok)
+			}
+		}
+		h.Set(HeaderCoverage, raw)
+		if got, ok := Coverage(h); ok && !(got >= 0 && got <= 1) {
+			t.Fatalf("Coverage accepted %q as %v", raw, got)
+		}
+	})
 }

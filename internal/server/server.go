@@ -955,6 +955,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Scores: make([]float32, len(recs)),
 	}
 	for i, rec := range recs {
+		if rec.Score-rec.Score != 0 {
+			// NaN or ±Inf: JSON cannot carry it, and the encoder would fail
+			// after the 200 status line is already out. Refuse before
+			// anything is written.
+			rt.errs.Add(1)
+			sp.FinishError()
+			http.Error(w, fmt.Sprintf("model returned a non-finite score for item %d", rec.Item), http.StatusInternalServerError)
+			return
+		}
 		resp.Items[i] = rec.Item
 		resp.Scores[i] = rec.Score
 	}

@@ -1,6 +1,10 @@
 package server
 
 import (
+	"context"
+	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,6 +14,7 @@ import (
 	"etude/internal/metrics"
 	"etude/internal/model"
 	"etude/internal/shard"
+	"etude/internal/topk"
 	"etude/internal/trace"
 )
 
@@ -265,5 +270,66 @@ func TestPartitionServerServesPartialTopK(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, wantItems) {
 		t.Fatalf("partition pod items = %v, want %v", got, wantItems)
+	}
+}
+
+// nanModel is a model whose first recommendation carries a NaN score.
+type nanModel struct{}
+
+func (nanModel) Name() string         { return "nan" }
+func (nanModel) Config() model.Config { return model.Config{CatalogSize: 4, TopK: 2} }
+func (nanModel) Cost(int) model.Cost  { return model.Cost{} }
+func (nanModel) Recommend([]int64) []topk.Result {
+	return []topk.Result{{Item: 1, Score: float32(math.NaN())}, {Item: 2, Score: 1}}
+}
+
+// A non-finite score cannot be encoded as JSON. The server must answer 500
+// with an error body instead of a 200 whose body the encoder abandoned, and
+// a gateway must see that pod as a failed shard (a 500, not a decode error).
+func TestNonFiniteScoreIsAnError(t *testing.T) {
+	nan, err := New(nanModel{}, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nan.Close()
+	nts := httptest.NewServer(nan.Handler())
+	defer nts.Close()
+	resp, _ := predict(t, nts, httpapi.PredictRequest{SessionID: 1, Items: []int64{1}})
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || len(body) == 0 {
+		t.Fatalf("NaN score answered %d with body %q, want 500 with an error", resp.StatusCode, body)
+	}
+
+	m, err := model.New("gru4rec", model.Config{CatalogSize: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pod, err := New(m, Options{Workers: 1, Partition: &shard.Partition{Index: 0, From: 0, To: 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pod.Close()
+	pts := httptest.NewServer(pod.Handler())
+	defer pts.Close()
+	pickers := []shard.Picker{shard.NewStaticPicker(pts.URL), shard.NewStaticPicker(nts.URL)}
+	req := httpapi.PredictRequest{SessionID: 2, Items: []int64{7}}
+
+	partial, err := shard.NewGateway(pickers, shard.GatewayConfig{Policy: shard.Policy{Mode: shard.PolicyPartial}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := partial.PredictPartial(context.Background(), req)
+	if err != nil || pr.Answered != 1 || pr.Shards != 2 {
+		t.Fatalf("partial gateway = %+v, %v; want 1 of 2 shards answered", pr, err)
+	}
+
+	failFast, err := shard.NewGateway(pickers, shard.GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = failFast.PredictPartial(context.Background(), req)
+	var se *httpapi.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+		t.Fatalf("fail-fast gateway error = %v, want the NaN shard's 500", err)
 	}
 }
