@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,6 +15,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -23,9 +26,14 @@ import (
 // pairRecord is one line of .bench_build/pairs-<workload>.jsonl: one run of
 // perf/run.sh and the contract line it ended with.
 type pairRecord struct {
-	Pair  int    `json:"pair"`
-	Side  string `json:"side"` // "base" or "change"
-	Rev   string `json:"rev"`
+	Pair int    `json:"pair"`
+	Side string `json:"side"` // "base" or "change"
+	Rev  string `json:"rev"`
+	// Diff is the sha256 of the patch that turns the base into the
+	// measured working tree (change side only); the patch itself is kept in
+	// .bench_build/patches/<diff>.diff, so `git apply` on the base rebuilds
+	// what was measured.
+	Diff  string `json:"diff,omitempty"`
 	Seed  int64  `json:"seed"`
 	First bool   `json:"first"` // whether this side ran first in its pair
 	Line  struct {
@@ -44,6 +52,8 @@ type pairRecord struct {
 // Each contract line is appended to .bench_build/pairs-<workload>.jsonl, so
 // ten pairs can be collected over several invocations (-n is per
 // invocation); the table printed at the end covers every pair in that file.
+// Every change record carries the digest of the measured diff, and pairs of
+// another base or another diff are never pooled into one log.
 func benchPair(args []string) {
 	fs := flag.NewFlagSet("bench pair", flag.ExitOnError)
 	base := fs.String("base", "HEAD", "revision to compare the working tree against")
@@ -71,23 +81,41 @@ func benchPair(args []string) {
 	if err != nil {
 		log.Fatalf("etude bench pair: %v", err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	var patch []byte
+	var diff string
+	if *n > 0 {
+		if patch, diff, err = treeDiff(ctx, ".", *base); err != nil {
+			log.Fatalf("etude bench pair: %v", err)
+		}
+	}
 	done := 0
 	for _, r := range records {
 		done = max(done, r.Pair+1)
-		if r.Side == "base" && r.Rev != *base {
-			if *n > 0 {
-				log.Fatalf("etude bench pair: %s holds pairs against %s; remove it to measure against %s", logPath, r.Rev, *base)
+		if *n == 0 {
+			if r.Side == "base" {
+				*base = r.Rev // printing only: name what was measured
 			}
-			*base = r.Rev // printing only: name what was measured
+		} else if err := sameMeasurement(r, *base, diff); err != nil {
+			log.Fatalf("etude bench pair: %s %v", logPath, err)
 		}
 	}
 	if *seed == 0 {
 		*seed = int64(101 + done)
 	}
+	if *n > 0 {
+		patchPath := filepath.Join(".bench_build", "patches", diff+".diff")
+		if err := os.MkdirAll(filepath.Dir(patchPath), 0o755); err == nil {
+			err = os.WriteFile(patchPath, patch, 0o644)
+		}
+		if err != nil {
+			log.Fatalf("etude bench pair: keeping the measured diff: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "measuring the working tree as %s on %s\n", patchPath, *base)
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ran, err := runPairs(ctx, *base, *workload, logPath, done, *n, *seed, spec.RunSeconds)
+	ran, err := runPairs(ctx, *base, diff, *workload, logPath, done, *n, *seed, spec.RunSeconds)
 	records = append(records, ran...)
 	pairs, failed := pairUp(records)
 	fmt.Printf("%s: %d pairs, base %s against the working tree, %d failed or unverified requests\n", *workload, len(pairs), *base, failed)
@@ -103,7 +131,7 @@ func benchPair(args []string) {
 
 // runPairs runs n pairs numbered from first, appending every run to the log
 // as it completes, and removes the export of base before it returns.
-func runPairs(ctx context.Context, base, workload, logPath string, first, n int, seed int64, seconds int) ([]pairRecord, error) {
+func runPairs(ctx context.Context, base, diff, workload, logPath string, first, n int, seed int64, seconds int) ([]pairRecord, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -124,6 +152,9 @@ func runPairs(ctx context.Context, base, workload, logPath string, first, n int,
 		}
 		for j, side := range order {
 			rec := pairRecord{Pair: pair, Side: side, Rev: revs[side], Seed: seed + int64(i), First: j == 0}
+			if side == "change" {
+				rec.Diff = diff
+			}
 			line, err := runPerf(ctx, trees[side], workload, rec.Seed, seconds)
 			if err == nil {
 				err = json.Unmarshal(line, &rec.Line)
@@ -139,6 +170,44 @@ func runPairs(ctx context.Context, base, workload, logPath string, first, n int,
 		}
 	}
 	return ran, nil
+}
+
+// sameMeasurement reports whether a logged run measured what this
+// invocation measures: the same base revision, and for the change side the
+// same diff.
+func sameMeasurement(r pairRecord, base, diff string) error {
+	switch {
+	case r.Side == "base" && r.Rev != base:
+		return fmt.Errorf("holds pairs against %s; remove it to measure against %s", r.Rev, base)
+	case r.Side == "change" && r.Diff != diff:
+		return fmt.Errorf("holds pairs of another working tree (diff %q); remove it to measure this one (diff %q)", r.Diff, diff)
+	}
+	return nil
+}
+
+// treeDiff returns the patch that turns rev into the working tree of the
+// repository at dir — tracked edits, deletions and every untracked,
+// non-ignored file, binary-safe — and its sha256. It stages into a
+// throwaway index, so the repository's own index is left as it was.
+func treeDiff(ctx context.Context, dir, rev string) ([]byte, string, error) {
+	tmp, err := os.MkdirTemp("", "etude-index-")
+	if err != nil {
+		return nil, "", err
+	}
+	defer os.RemoveAll(tmp)
+	env := append(os.Environ(), "GIT_INDEX_FILE="+filepath.Join(tmp, "index"))
+	var patch []byte
+	for _, args := range [][]string{{"read-tree", rev}, {"add", "-A"}, {"diff", "--cached", "--binary", rev}} {
+		cmd := exec.CommandContext(ctx, "git", args...)
+		cmd.Dir, cmd.Env = dir, env
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if patch, err = cmd.Output(); err != nil {
+			return nil, "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, bytes.TrimSpace(stderr.Bytes()))
+		}
+	}
+	sum := sha256.Sum256(patch)
+	return patch, hex.EncodeToString(sum[:]), nil
 }
 
 // exportRevision unpacks rev into a fresh directory under .bench_build/.
