@@ -12,7 +12,7 @@ SCALE ?= test
 # or proc (real etude-server processes behind the local control plane).
 PODS ?= inproc
 
-.PHONY: build test bench vet race check procs perf reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
+.PHONY: build test bench vet race check procs flake perf reproduce baseline gate infra run_deployed_benchmark benchmark profile advise clean
 
 # Process tests exec a real etude-server; build it once here so every test
 # package shares one binary instead of each invoking `go build`.
@@ -77,6 +77,20 @@ check: bin/etude-server bin/etude
 # last, after builds, tests and benchmarks have returned.
 procs:
 	@bash scripts/procs.sh
+
+# Flake hunt: the tests of PKGS run three times over (go test -count=3)
+# beside two CPU-bound busy loops, the load under which timing-sensitive
+# tests fail; RUN narrows them to a -run pattern, e.g.
+#   make flake PKGS=./internal/experiments RUN='TestDeployStudy$$'
+# The recipe starts and kills the busy loops itself and ends with
+# `make procs`.
+PKGS ?= ./...
+RUN ?=
+flake:
+	@bash -c 'for i in 1 2; do (while :; do :; done) & done; \
+		trap "kill \$$(jobs -p) 2>/dev/null; wait" EXIT; \
+		go test -count=3 $(if $(RUN),-run "$(RUN)") $(PKGS)'
+	@$(MAKE) --no-print-directory procs
 
 # The repository's benchmark (BENCHMARK.json): absolute wall-clock numbers
 # for one workload, or all four when WORKLOAD is unset, e.g.

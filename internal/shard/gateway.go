@@ -134,7 +134,9 @@ func (g *Gateway) PredictPartial(ctx context.Context, req httpapi.PredictRequest
 		ctx:     ctx,
 		req:     req,
 		primary: make([]string, len(g.shards)),
-		events:  make(chan func(), 3*len(g.shards)),
+		// Room for every post: at most a primary, a backup and a hedge
+		// timer per shard, so no goroutine blocks once the loop is gone.
+		events: make(chan func(), 3*len(g.shards)),
 	}
 	if dl, ok := ctx.Deadline(); ok && g.cfg.Policy.Mode == PolicyPartial {
 		// Straggler sub-deadline: under partial serving a slow shard is

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,6 +195,50 @@ func stubReplica(pod int, delay time.Duration) http.Handler {
 		}
 		json.NewEncoder(w).Encode(httpapi.PredictResponse{Items: []int64{int64(pod)}, Scores: []float32{1}})
 	})
+}
+
+// Concurrent requests on one gateway share its core — breakers, hedge
+// delay and counters — while each drives its own gather. Run under -race.
+func TestGatewayConcurrentRequestsShareOneCore(t *testing.T) {
+	leakcheck.Check(t)
+	faults := chaos.Scenario{Name: "group 1 down", Faults: []chaos.Fault{{Kind: chaos.FaultAZOutage, Pods: []int{2, 3}}}}
+	inj := chaos.NewInjector(faults)
+	pickers := make([]Picker, 2)
+	for s := range pickers {
+		urls := make([]string, 2)
+		for r := range urls {
+			srv := httptest.NewServer(inj.Middleware(s*2 + r)(stubReplica(s*2+r, time.Millisecond)))
+			t.Cleanup(srv.Close)
+			urls[r] = srv.URL
+		}
+		pickers[s] = NewStaticPicker(urls...)
+	}
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	gw, err := NewGateway(pickers, GatewayConfig{K: 1, Transport: tr,
+		Hedge:  HedgeConfig{Enabled: true, Delay: 500 * time.Microsecond},
+		Policy: Policy{Mode: PolicyPartial, MinCoverage: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				pr, err := gw.PredictPartial(context.Background(), httpapi.PredictRequest{Items: []int64{1}})
+				if err != nil || pr.Answered != 1 || len(pr.Recs) != 1 {
+					t.Errorf("PredictPartial = %+v, %v; want shard 0's answer alone", pr, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ps := gw.PartialStats(); ps.Partial() != 40 || ps.Skipped() == 0 {
+		t.Fatalf("partial %d, skipped %d; want 40 partial answers and the dead group skipped", ps.Partial(), ps.Skipped())
+	}
 }
 
 // fakeDriver records what a gather asks of it and lets a test feed the
