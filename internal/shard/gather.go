@@ -224,12 +224,12 @@ func (g *gather) miss(s int, err error) {
 	if g.firstErr == nil {
 		g.firstErr = fmt.Errorf("shard %d: %w", s, err)
 	}
-	switch n, min := len(g.resolved), g.c.policy.MinShards(len(g.resolved)); {
-	case n-g.missed >= min:
+	switch n, floor := len(g.resolved), g.c.policy.MinShards(len(g.resolved)); {
+	case n-g.missed >= floor:
 		g.settle()
 	case g.c.policy.Mode == PolicyPartial:
 		g.c.pstats.RecordFloorFailure()
-		g.finish(&CoverageError{Answered: g.answered, Shards: n, Min: min}, "coverage %d/%d", g.answered, n)
+		g.finish(&CoverageError{Answered: g.answered, Shards: n, Min: floor}, "coverage %d/%d", g.answered, n)
 	default:
 		g.finish(g.firstErr, "error")
 	}

@@ -281,7 +281,7 @@ func TestGatherPropertiesOnRandomTraces(t *testing.T) {
 			pol.Mode, pol.MinCoverage = PolicyPartial, rng.Float64()
 		}
 		c := newGatherCore(shards, pol, HedgeConfig{Enabled: rng.Intn(4) > 0, Delay: time.Millisecond})
-		min := pol.MinShards(shards)
+		floor := pol.MinShards(shards)
 		var now time.Duration
 		for req := 0; req < 20; req++ {
 			d := &fakeDriver{rng: rng}
@@ -334,8 +334,8 @@ func TestGatherPropertiesOnRandomTraces(t *testing.T) {
 			}
 			var ce *CoverageError
 			switch {
-			case g.err == nil && (g.answered < min || g.answered+g.missed != shards):
-				t.Fatalf("trial %d: served %d answered + %d missed of %d, floor %d", trial, g.answered, g.missed, shards, min)
+			case g.err == nil && (g.answered < floor || g.answered+g.missed != shards):
+				t.Fatalf("trial %d: served %d answered + %d missed of %d, floor %d", trial, g.answered, g.missed, shards, floor)
 			case errors.As(g.err, &ce) && (ce.Answered >= ce.Min || pol.Mode != PolicyPartial):
 				t.Fatalf("trial %d: %v under %v", trial, ce, pol.Mode)
 			}
