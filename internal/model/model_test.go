@@ -438,7 +438,40 @@ func TestGoldenRecommendations(t *testing.T) {
 		"srgnn":     "71:3d040cd6 50:3d027e36 70:3cd971c3 177:3cd5395f 151:3cd2425b 20:3cd206a2 83:3cc459af 130:3cbda594 28:3cbc121a 116:3cbb08b2 87:3cb37226 167:3cb28d02 100:3caff309 89:3cad2865 34:3cac5637 191:3ca54a1f 58:3ca1c190 121:3c97c246 180:3c96f9aa 26:3c93a2cf 136:3c9229dd",
 		"stamp":     "97:3a935d0d 90:3a907ebd 54:3a8ff2f4 94:3a8dce85 99:3a8914de 36:3a7b9080 108:3a7afebd 140:3a744f3e 20:3a70b82f 177:3a6d3106 68:3a6c276a 62:3a6b506a 87:3a6b4dbe 176:3a6aceca 105:3a69f76e 29:3a696c8f 152:3a5ebe07 5:3a55e590 114:3a543e54 193:3a53da69 28:3a538978",
 	}
-	session := []int64{3, 17, 42, 9, 65}
+	for _, name := range Names() {
+		want, ok := golden[name]
+		if !ok {
+			t.Fatalf("no golden for %s — add one", name)
+		}
+		checkGolden(t, name, Config{CatalogSize: 200, Seed: 1}, []int64{3, 17, 42, 9, 65}, want)
+	}
+}
+
+// TestGoldenRecommendationsD128 pins the models whose encoders run through
+// tensor.MatMulInto at the encoder_long shape (C = 1e4, d = 128, 50 clicks):
+// at C = 200 the dimension is 4 and no matrix is wider than 16 columns, so
+// only here do the products run over full 32-column blocks and 128-deep
+// sums. The values were taken before the GEMM row kernel landed.
+func TestGoldenRecommendationsD128(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("scores are pinned for amd64; compilers for other platforms may fuse multiply-adds")
+	}
+	golden := map[string]string{
+		"gcsan":     "8252:3e75c346 5684:3e48c462 2278:3e3eda13 3799:3e3d880e 9709:3e3c808f 3647:3e3a9c7c 9053:3e380208 4699:3e355796 6091:3e353d46 4760:3e33c384 7079:3e324a3f 7013:3e2fb103 5552:3e2f968a 1707:3e2ef474 5662:3e2edc61 373:3e2d0181 1913:3e2c981a 5582:3e2a5ba0 1938:3e28459c 9882:3e263fee 5878:3e248d74",
+		"lightsans": "3873:3f189a9b 5177:3f10ebba 1764:3f102f21 8828:3f0e5e4a 2236:3f0c7d99 3707:3f0c0a54 587:3f0a3ad4 9734:3f078ffc 6692:3f06aa2d 6090:3f04cc7a 6264:3f0334c6 7887:3f0307ed 2012:3f01f786 5337:3f0140ae 4530:3f00f114 6526:3f00bc25 8790:3f0094f4 4166:3f008c5e 4131:3efee836 4334:3efc6d04 731:3ef8fe03",
+		"sasrec":    "6980:3f177c92 4403:3ef94578 1009:3eef265a 1323:3ee73d72 2742:3ee51eba 4925:3ee1d433 5808:3edcb156 7764:3edc8632 1253:3ed94e73 5523:3ed901bb 9901:3ed7c3c1 2063:3ed732cf 1242:3ed6745f 9080:3ed5ec26 5912:3ed1b608 557:3ed0e18a 2597:3ecfbf81 4107:3ecf59dd 6558:3ecf5882 8688:3ece070e 5233:3ecda862",
+		"srgnn":     "7137:3b7ed250 4019:3b739135 5244:3b646698 491:3b61ed92 8096:3b61ba03 5999:3b619dc8 5692:3b60982a 1162:3b5e4e7a 4441:3b5ce167 8227:3b5bd42f 8095:3b56b4a4 2763:3b5509d5 2153:3b523b23 3458:3b51e5d6 8991:3b50bea6 7822:3b5077c0 4755:3b4ff0dd 3546:3b4e1cce 190:3b4cfac0 8606:3b4bbdcc 1504:3b4a5b74",
+	}
+	for _, name := range []string{"gcsan", "lightsans", "sasrec", "srgnn"} {
+		checkGolden(t, name, Config{CatalogSize: 10_000, Dim: 128, Seed: 1}, longSession(50, 10_000), golden[name])
+	}
+}
+
+// checkGolden holds the eager, staged and (where there is one) compiled
+// top-k of the model name for session to want, item by item and score bit
+// by score bit.
+func checkGolden(t *testing.T, name string, cfg Config, session []int64, want string) {
+	t.Helper()
 	render := func(recs []topk.Result) string {
 		var b strings.Builder
 		for i, r := range recs {
@@ -449,26 +482,20 @@ func TestGoldenRecommendations(t *testing.T) {
 		}
 		return b.String()
 	}
-	for _, name := range Names() {
-		want, ok := golden[name]
-		if !ok {
-			t.Fatalf("no golden for %s — add one", name)
-		}
-		m, err := New(name, Config{CatalogSize: 200, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := render(m.Recommend(session)); got != want {
-			t.Errorf("%s: eager top-k\n got %s\nwant %s", name, got, want)
-		}
-		staged, _ := RecommendStaged(m, session, func() time.Duration { return 0 })
-		if got := render(staged); got != want {
-			t.Errorf("%s: staged top-k\n got %s\nwant %s", name, got, want)
-		}
-		if jc, ok := m.(JITCompilable); ok {
-			if got := render(jc.CompiledRecommend()(session)); got != want {
-				t.Errorf("%s: compiled top-k\n got %s\nwant %s", name, got, want)
-			}
+	m, err := New(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := render(m.Recommend(session)); got != want {
+		t.Errorf("%s: eager top-k\n got %s\nwant %s", name, got, want)
+	}
+	staged, _ := RecommendStaged(m, session, func() time.Duration { return 0 })
+	if got := render(staged); got != want {
+		t.Errorf("%s: staged top-k\n got %s\nwant %s", name, got, want)
+	}
+	if jc, ok := m.(JITCompilable); ok {
+		if got := render(jc.CompiledRecommend()(session)); got != want {
+			t.Errorf("%s: compiled top-k\n got %s\nwant %s", name, got, want)
 		}
 	}
 }
