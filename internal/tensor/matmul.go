@@ -24,28 +24,37 @@ func MatMulInto(dst, a, b *Tensor) {
 	if len(dst.shape) != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	// i-k-j loop order keeps the inner loop streaming over contiguous rows of
-	// b and dst, which is the cache-friendly order for row-major data.
+	ad, bd, dd := a.data, b.data[:k*n], dst.data
 	for i := 0; i < m; i++ {
-		drow := dd[i*n : (i+1)*n]
-		for j := range drow {
-			drow[j] = 0
-		}
-		arow := ad[i*k : (i+1)*k]
-		for l := 0; l < k; l++ {
-			av := arow[l]
-			if av == 0 {
-				continue
-			}
-			brow := bd[l*n : (l+1)*n]
-			axpy(av, brow, drow)
-		}
+		gemmRow(dd[i*n:(i+1)*n], ad[i*k:(i+1)*k], bd)
 	}
 }
 
-// axpy computes y += a*x over equal-length slices. Split out so the compiler
-// can eliminate bounds checks and unroll.
+// gemmRowGeneric fixes the order of every matrix product in this
+// repository: c = a × b for one row a (length k) of the left operand and b,
+// k rows of len(c) columns, row-major. Each output starts at +0.0 and, for l
+// ascending, skips a[l] == ±0 and otherwise adds a[l]·b[l][j] — a multiply
+// rounded, then an add rounded, never fused. The i-k-j order streams over
+// contiguous rows of b and c, the cache-friendly order for row-major data.
+// Responses are compared bit for bit across serving paths, so the platform
+// kernel (gemm_amd64.s) reproduces this order exactly; this loop is the
+// fallback elsewhere and the reference the tests compare against.
+func gemmRowGeneric(c, a, b []float32) {
+	n := len(c)
+	clear(c)
+	if n == 0 {
+		return
+	}
+	for l, av := range a {
+		if av == 0 {
+			continue
+		}
+		axpy(av, b[l*n:(l+1)*n], c)
+	}
+}
+
+// axpy computes y += a*x over equal-length, non-empty slices. Split out so
+// the compiler can eliminate bounds checks and unroll.
 func axpy(a float32, x, y []float32) {
 	_ = y[len(x)-1]
 	i := 0
