@@ -94,8 +94,10 @@ func (m *SASRec) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // CompiledRecommend implements JITCompilable: the forward pass runs out of
-// the plan's blockWorkspace, and the representation is read in place from
-// the residual stream's last row.
+// the plan's blockWorkspace, the last block computes the last position only
+// (forwardLastInto), and the representation is read in place from the
+// residual stream's last row. Eager encode runs every block over every
+// position and is the oracle the plan is tested against.
 func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
 	scorer := m.compiledScorer()
 	d, zero := m.cfg.Dim, m.zeroRep()
@@ -110,9 +112,11 @@ func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
 		x := ws.bind(n, d)
 		m.emb.LookupInto(x.Data(), session)
 		addPositions(x, m.pos)
-		for _, b := range m.blocks {
+		last := len(m.blocks) - 1
+		for _, b := range m.blocks[:last] {
 			b.forwardInto(&ws, x, true)
 		}
+		m.blocks[last].forwardLastInto(&ws, x, true)
 		rep.Bind(x.Data()[(n-1)*d:], d)
 		return scorer(&rep)
 	}

@@ -17,7 +17,10 @@ import (
 //     projection (WO) and the feed-forward's W2 then overwrite;
 //   - scores, L·L: one head's attention scores.
 //
-// That is (6·L·d + L²)·4 bytes: 160 KB at d = 128, L = 50. All blocks of a
+// That is (6·L·d + L²)·4 bytes: 160 KB at d = 128, L = 50. The last block
+// (forwardLastInto) computes one position only, through row views of the
+// same memory: the last rows of x and ln, the first rows of Q, of the
+// attention output, of the scores and of the hidden layer. All blocks of a
 // plan share one workspace, and a workspace serves one call at a time.
 type blockWorkspace struct {
 	slab, x, ln, scores []float32
@@ -25,6 +28,10 @@ type blockWorkspace struct {
 	xT, lnT, hidden tensor.Tensor
 	q, k, v, out, s tensor.Tensor
 	attn            nn.AttentionBuffers
+
+	xLast, lnLast, hiddenLast tensor.Tensor
+	qLast, outLast, sLast     tensor.Tensor
+	attnLast                  nn.AttentionBuffers
 }
 
 // bind sizes the workspace for a session of n positions of width d and
@@ -45,6 +52,14 @@ func (ws *blockWorkspace) bind(n, d int) *tensor.Tensor {
 	ws.out.Bind(ws.slab[3*nd:], n, d)
 	ws.s.Bind(ws.scores, n, n)
 	ws.attn = nn.AttentionBuffers{Q: &ws.q, K: &ws.k, V: &ws.v, Out: &ws.out, Scores: &ws.s}
+
+	ws.xLast.Bind(ws.x[nd-d:], 1, d)
+	ws.lnLast.Bind(ws.ln[nd-d:], 1, d)
+	ws.hiddenLast.Bind(ws.slab[:4*d], 1, 4*d)
+	ws.qLast.Bind(ws.slab[:d], 1, d)
+	ws.outLast.Bind(ws.slab[3*nd:3*nd+d], 1, d)
+	ws.sLast.Bind(ws.scores[:n], 1, n)
+	ws.attnLast = nn.AttentionBuffers{Q: &ws.qLast, K: &ws.k, V: &ws.v, Out: &ws.outLast, Scores: &ws.sLast}
 	return &ws.xT
 }
 
@@ -59,4 +74,22 @@ func (b *transformerBlock) forwardInto(ws *blockWorkspace, x *tensor.Tensor, cau
 	b.ln2.ForwardInto(ln, x)
 	b.ffn.ForwardInto(ln, ln, &ws.hidden)
 	x.AddInPlace(ln)
+}
+
+// forwardLastInto is forwardInto for the last block of a plan, whose only
+// output read is the last row of x: it updates that row alone, bit for bit
+// as forwardInto would, and leaves the other rows of x stale. Only the keys
+// and values need every position, so the first layer norm and the K and V
+// projections run over all rows; the query, the scores, the softmax, A·V,
+// WO, both residual adds, the second layer norm and the feed-forward run on
+// the last row. Each of those is computed row by row in forwardInto too, so
+// the last row sees the same operations in the same order.
+func (b *transformerBlock) forwardLastInto(ws *blockWorkspace, x *tensor.Tensor, causal bool) {
+	ln, xl, lnl := &ws.lnT, &ws.xLast, &ws.lnLast
+	b.ln1.ForwardInto(ln, x)
+	b.attn.ForwardRowsInto(lnl, lnl, ln, causal, &ws.attnLast)
+	xl.AddInPlace(lnl)
+	b.ln2.ForwardInto(lnl, xl)
+	b.ffn.ForwardInto(lnl, lnl, &ws.hiddenLast)
+	xl.AddInPlace(lnl)
 }

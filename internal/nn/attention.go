@@ -56,9 +56,20 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, causal bool) *tensor.Tens
 // dst may alias x: x is read only by the Q, K and V projections, before dst
 // is written.
 func (a *MultiHeadAttention) ForwardInto(dst, x *tensor.Tensor, causal bool, b *AttentionBuffers) {
-	seqLen := x.Dim(0)
+	a.ForwardRowsInto(dst, x, x, causal, b)
+}
+
+// ForwardRowsInto is ForwardInto for the last m positions only: xq holds the
+// last m rows of x ([seqLen, dim]), and dst ([m, dim]) receives exactly the
+// last m rows of ForwardInto(x), since every position's output depends on
+// its own query and the keys and values of all positions. Q, Out and Scores
+// of b are then [m, dim], [m, dim] and [m, seqLen]; K and V stay [seqLen,
+// dim]. dst may alias xq or x, which are read only by the projections.
+func (a *MultiHeadAttention) ForwardRowsInto(dst, xq, x *tensor.Tensor, causal bool, b *AttentionBuffers) {
+	seqLen, m := x.Dim(0), xq.Dim(0)
+	first := seqLen - m // the position of row 0 of xq
 	q, k, v, out, scores := b.Q, b.K, b.V, b.Out, b.Scores
-	a.WQ.ForwardInto(q, x)
+	a.WQ.ForwardInto(q, xq)
 	a.WK.ForwardInto(k, x)
 	a.WV.ForwardInto(v, x)
 	out.Zero()
@@ -67,24 +78,24 @@ func (a *MultiHeadAttention) ForwardInto(dst, x *tensor.Tensor, causal bool, b *
 	scale := float32(1 / math.Sqrt(float64(headDim)))
 	for h := 0; h < a.Heads; h++ {
 		off := h * headDim
-		// scores[i][j] = q_i · k_j over this head's slice.
-		for i := 0; i < seqLen; i++ {
-			qi := q.Data()[i*a.dim+off : i*a.dim+off+headDim]
-			srow := scores.Data()[i*seqLen : (i+1)*seqLen]
+		// scores[r][j] = q_r · k_j over this head's slice.
+		for r := 0; r < m; r++ {
+			qr := q.Data()[r*a.dim+off : r*a.dim+off+headDim]
+			srow := scores.Data()[r*seqLen : (r+1)*seqLen]
 			for j := 0; j < seqLen; j++ {
-				if causal && j > i {
+				if causal && j > first+r {
 					srow[j] = float32(math.Inf(-1))
 					continue
 				}
 				kj := k.Data()[j*a.dim+off : j*a.dim+off+headDim]
-				srow[j] = tensor.Dot(qi, kj) * scale
+				srow[j] = tensor.Dot(qr, kj) * scale
 			}
 		}
 		scores.SoftmaxRows()
 		// out slice = scores × v over this head's slice.
-		for i := 0; i < seqLen; i++ {
-			orow := out.Data()[i*a.dim+off : i*a.dim+off+headDim]
-			srow := scores.Data()[i*seqLen : (i+1)*seqLen]
+		for r := 0; r < m; r++ {
+			orow := out.Data()[r*a.dim+off : r*a.dim+off+headDim]
+			srow := scores.Data()[r*seqLen : (r+1)*seqLen]
 			for j := 0; j < seqLen; j++ {
 				w := srow[j]
 				if w == 0 {
