@@ -245,12 +245,11 @@ func Run(ctx context.Context, cfg Config, src SessionSource, target Target) (*Re
 	defer abortFlights()
 
 	// Each logical request records its outcome exactly once: either its
-	// goroutine finishes, or the drain sweep declares it a straggler —
-	// whoever flips `recorded` first wins.
-	type reqState struct {
-		tick     int
-		recorded atomic.Bool
-	}
+	// goroutine finishes, or the drain sweep declares it a straggler.
+	// Whoever removes it from outstanding owns the record, and records it
+	// before releasing outMu, so once the sweep holds outMu no request
+	// goroutine is left that can still record.
+	type reqState struct{ tick int }
 	var outMu sync.Mutex
 	outstanding := make(map[*reqState]struct{})
 
@@ -341,11 +340,6 @@ mainLoop:
 			go func(tick int) { // SCHEDULE_REQUEST_ASYNC
 				defer wg.Done()
 				defer pending.Add(-1)
-				defer func() {
-					outMu.Lock()
-					delete(outstanding, st)
-					outMu.Unlock()
-				}()
 				reqStart := time.Now()
 				// The SLO budget is one absolute deadline for the whole
 				// logical request: every retry attempt runs under it, so
@@ -391,9 +385,13 @@ mainLoop:
 					case <-overall.Done():
 					}
 				}
-				if !st.recorded.CompareAndSwap(false, true) {
+				elapsed := time.Since(reqStart)
+				outMu.Lock()
+				if _, mine := outstanding[st]; !mine {
+					outMu.Unlock()
 					return // the drain sweep already counted this straggler
 				}
+				delete(outstanding, st)
 				if meta.Status != 0 {
 					rec.RecordStatus(tick, meta.Status)
 				}
@@ -406,12 +404,13 @@ mainLoop:
 					// Partial-coverage success: a distinct outcome from the
 					// fallback-responder degradation below — the model ran,
 					// just over less catalog.
-					rec.RecordPartial(tick, time.Since(reqStart), meta.Coverage)
+					rec.RecordPartial(tick, elapsed, meta.Coverage)
 				case meta.Degraded:
-					rec.RecordDegraded(tick, time.Since(reqStart))
+					rec.RecordDegraded(tick, elapsed)
 				default:
-					rec.RecordLatency(tick, time.Since(reqStart))
+					rec.RecordLatency(tick, elapsed)
 				}
+				outMu.Unlock()
 				done(err == nil)
 			}(t)
 
@@ -449,14 +448,16 @@ mainLoop:
 	select {
 	case <-drained:
 	case <-time.After(cfg.DrainTimeout):
-		abortFlights()
+		// Claim every unrecorded request first, then abort: a goroutine
+		// woken by the abort finds its request claimed and records nothing,
+		// so the outcomes below are final.
 		outMu.Lock()
 		for st := range outstanding {
-			if st.recorded.CompareAndSwap(false, true) {
-				rec.RecordStraggler(st.tick)
-			}
+			delete(outstanding, st)
+			rec.RecordStraggler(st.tick)
 		}
 		outMu.Unlock()
+		abortFlights()
 	}
 	res.Outcomes = rec.Outcomes()
 	return res, nil
