@@ -57,6 +57,9 @@ race:
 # core split in topk.TopK, reached through every model).
 # Process tests (real SIGKILL blackouts included) use the prebuilt
 # bin/etude-server; skip them with `go test -short`.
+# `GOARCH=arm64 go vet` keeps the pure-Go fallbacks of the amd64 assembly
+# kernels (dot_other.go, gemm_other.go) compiling, while the amd64 vet
+# holds each .s file to its Go declaration (asmdecl).
 # Then the perf-regression gate: it re-runs the smoke grid
 # (bench/smoke.json) and fails when any gated metric drifts beyond the
 # noise band of the committed baselines in results/baselines/, naming the
@@ -66,6 +69,7 @@ race:
 check: bin/etude-server bin/etude
 	go build ./...
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/batching ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json

@@ -402,7 +402,11 @@ func TestTracingDisabledOverheadGuard(t *testing.T) {
 	// A/B wall-clock comparisons at ~300µs per call are dominated by
 	// scheduler and frequency noise, so use a robust paired design: GC off,
 	// interleaved rounds, and the median of per-round instrumented/base
-	// ratios (immune to drift and spike outliers on either side).
+	// ratios (immune to drift and spike outliers on either side). Both sides
+	// do the same inference, so the true overhead is far below 0.1%, and
+	// what the median reads is its own sampling error: 60 rounds spread it
+	// from -0.7% to +2.4% across reruns; 400 rounds keep it well inside the
+	// 2% bound on a loaded two-core host.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
 	run := func(f func()) time.Duration {
@@ -412,7 +416,7 @@ func TestTracingDisabledOverheadGuard(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	const rounds = 60
+	const rounds = 400
 	ratios := make([]float64, 0, rounds)
 	for round := 0; round < rounds; round++ {
 		// Alternate measurement order: frequency ramps within a round would
