@@ -53,14 +53,21 @@ var (
 	}
 )
 
+// The kernel scores rows four at a time and the last len(dst) mod 4 one at a
+// time: row counts 0…9, 13 and 67 take every split between the two and
+// several blocks of four in a row.
 func TestDotKernelMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dims := []int{128, 131}
 	for d := 0; d <= 67; d++ {
 		dims = append(dims, d)
 	}
+	rowCounts := []int{13, 67}
+	for rows := 0; rows <= 9; rows++ {
+		rowCounts = append(rowCounts, rows)
+	}
 	for _, d := range dims {
-		for _, rows := range []int{0, 1, 5} {
+		for _, rows := range rowCounts {
 			for off := 0; off <= 3; off++ {
 				a, q := make([]float32, rows*d), make([]float32, d)
 				for i := range a {
@@ -83,6 +90,25 @@ func TestDotKernelMatchesGeneric(t *testing.T) {
 					}
 				}
 				checkDotRows(t, a, q, rows, d, off)
+			}
+			if d == 0 || rows > 13 {
+				continue
+			}
+			// Each special value in each row, so in every lane of a block
+			// of four and in the single rows after it, at a position that
+			// moves with the value through the four-lane part and the tail.
+			a, q := make([]float32, rows*d), make([]float32, d)
+			for si, s := range specials {
+				for r := 0; r < rows; r++ {
+					for i := range a {
+						a[i] = float32(rng.NormFloat64())
+					}
+					for i := range q {
+						q[i] = float32(rng.NormFloat64())
+					}
+					a[r*d+(r+si)%d] = s
+					checkDotRows(t, a, q, rows, d, 0)
+				}
 			}
 		}
 	}
@@ -125,6 +151,19 @@ func FuzzDotMatchesGeneric(f *testing.F) {
 	seed(4, 1, -1, inf, -inf, 0, 1, 0, 1)
 	seed(5, nan, 1, 2, 3, 4, 1, 1, 1, 1, 1)
 	seed(7, 1e-40, math.MaxFloat32, -math.MaxFloat32, 3, 4, 5, 6, 2, 2, 2, 2, 2, 2, 2, 7, 7, 7, 7, 7, 7, 7)
+	// Four rows and more: one block of four, then blocks and single rows,
+	// with a special value in a different lane of each block.
+	seed(1, 3, 1, 2, inf, 4)
+	seed(2, 1, -1, nan, 1, 2, 2, -inf, 3, 4, 4, 5, 5)
+	seed(3, 1, 2, 3, 1, 1, 1, 2, 2, 2, inf, -inf, 3, 4, 4, 4, 5, 5, 5, 1e-40, 6, 6, 6, 6, 6)
+	seed(5, 1, -1, 2, -2, 3, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, nan, 3, 3, 4, 4, 4, 4, math.MaxFloat32,
+		5, 5, 5, 5, 5, -0.0, 6, 6, 6, 6, 7, 7, 7, 7, 7, 8, 8, 8, 8, -math.MaxFloat32)
+	eighteen := make([]float32, 18*10)
+	for i := range eighteen {
+		eighteen[i] = float32(i%7) - 3
+	}
+	eighteen[18+17], eighteen[3*18+16], eighteen[6*18+2] = nan, inf, -inf
+	seed(18, eighteen...)
 	f.Fuzz(func(t *testing.T, d, off uint8, raw []byte) {
 		vals := make([]float32, len(raw)/4)
 		for i := range vals {
@@ -156,3 +195,8 @@ func benchDotRows(b *testing.B, rows, d int) {
 // compute ceiling of the kernel, to set against the DRAM stream rate.
 func BenchmarkDotRows512x32(b *testing.B) { benchDotRows(b, 512, 32) }
 func BenchmarkDotRows910x18(b *testing.B) { benchDotRows(b, 910, 18) }
+
+// encoder_long's scan (128 KB) and batch_100k's whole catalog (7.2 MB,
+// beyond L2, warm in the last-level cache).
+func BenchmarkDotRows256x128(b *testing.B)   { benchDotRows(b, 256, 128) }
+func BenchmarkDotRows100000x18(b *testing.B) { benchDotRows(b, 100000, 18) }

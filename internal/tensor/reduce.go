@@ -149,7 +149,9 @@ func layerNormSlice(row, gamma, beta []float32, eps float32) {
 }
 
 // ArgSortDesc returns the indices that would sort a 1-D tensor in descending
-// order. Used by the exhaustive (non-heap) top-k baseline.
+// order, NaN below every number and equal values (NaNs among themselves
+// too) by ascending index: topk's order. Used by the exhaustive (non-heap)
+// top-k baseline.
 func (t *Tensor) ArgSortDesc() []int {
 	idx := make([]int, len(t.data))
 	for i := range idx {
@@ -166,7 +168,11 @@ func (t *Tensor) ArgSortDesc() []int {
 func sortIdx(idx []int, data []float32) {
 	n := len(idx)
 	less := func(a, b int) bool { // max-heap on ascending order -> descending output
-		return data[idx[a]] < data[idx[b]] || (data[idx[a]] == data[idx[b]] && idx[a] > idx[b])
+		x, y := data[idx[a]], data[idx[b]]
+		if xNaN, yNaN := x != x, y != y; xNaN != yNaN {
+			return xNaN
+		}
+		return x < y || (!(x > y) && idx[a] > idx[b])
 	}
 	var siftDown func(lo, hi int)
 	siftDown = func(lo, hi int) {

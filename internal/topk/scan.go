@@ -16,15 +16,16 @@ const blockRows = 1024
 // splitBytes is the least catalog memory each core is given before TopK
 // spreads a scan over several, so a catalog splits from 2×splitBytes up.
 // Measured on the 2-vCPU benchmark host with BenchmarkTopKSplit (d = 32,
-// k = 21, catalog warm, two ranges against one, one caller): 1 MB in all
-// takes 80 µs against 53 µs and 2 MB 180 against 136 — starting and waking
-// the second goroutine costs 30-50 µs here — 4 MB ties (0.28-0.37 ms
-// against 0.30-0.38), 8 MB runs in 0.64 of the time, 16 MB in 0.66, 32 MB
-// in 0.56 and 128 MB in 0.49. With two concurrent callers, a saturated
-// server, two ranges cost the same as one at every size (128 MB: 11.9 ms
-// against 12.3 ms per call). The constant sits at four times the tie, where
-// the scan is past a millisecond and the gain no longer depends on how fast
-// this host wakes a core; below it requests run side by side instead.
+// k = 21, catalog warm, two ranges against one, one caller, two runs):
+// 1 MB in all takes 43-54 µs against 27-38 µs — starting and waking the
+// second goroutine costs 30-50 µs here — 2 MB ties (92-102 µs against
+// 90-93), 4 MB runs in 0.85 of the time, 8 MB in 0.7, 16 MB in 0.6,
+// 32 MB in 0.6 and 128 MB in 0.5. With two concurrent callers, a saturated
+// server, two ranges cost the same as one at every size (128 MB: 14.3-15.4
+// ms against 15.2-16.1 ms per call). The constant sits at four times the
+// tie, where the scan is near a millisecond and the gain no longer depends
+// on how fast this host wakes a core; below it requests run side by side
+// instead.
 const splitBytes = 8 << 20
 
 // rangeScan is the scratch of one fused scan over a contiguous row range.

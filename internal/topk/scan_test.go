@@ -198,6 +198,18 @@ func BenchmarkTopKSplit(b *testing.B) {
 	}
 }
 
+// BenchmarkTopK100kx18 is batch_100k's fused scan: C = 1e5, d = 18 (7.2 MB,
+// one range), catalog warm.
+func BenchmarkTopK100kx18(b *testing.B) {
+	items, query := randCatalog(rand.New(rand.NewSource(1)), 100000, 18)
+	var s Scanner
+	b.SetBytes(100000 * 18 * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.TopK(items, query, 21)
+	}
+}
+
 // BenchmarkScanFused against BenchmarkScanThenSelect is the fusion alone:
 // same kernel, same heap, with and without the 4 MB score vector.
 func BenchmarkScanFused(b *testing.B) {

@@ -113,7 +113,8 @@ func (h *minHeap) offer(item int64, score float32) {
 // candidate never wins a tie, so once the heap is full and its root is a
 // number (after which it holds no NaN: NaN ranks last, so one would be the
 // root) the test per candidate is the single compare s > root, false for
-// NaN candidates too.
+// NaN candidates too, and firstAbove runs it over the scores up to the next
+// candidate that enters.
 func (h *minHeap) offerRun(first int64, scores []float32) {
 	if h.cap == 0 {
 		return
@@ -125,14 +126,23 @@ func (h *minHeap) offerRun(first int64, scores []float32) {
 	if i == len(scores) {
 		return
 	}
-	root := h.scores[0]
-	for ; i < len(scores); i++ {
-		if s := scores[i]; s > root {
-			h.items[0], h.scores[0] = first+int64(i), s
-			h.down(0)
-			root = h.scores[0]
+	for i = firstAbove(scores, i, h.scores[0]); i < len(scores); i = firstAbove(scores, i+1, h.scores[0]) {
+		h.items[0], h.scores[0] = first+int64(i), scores[i]
+		h.down(0)
+	}
+}
+
+// firstAboveGeneric returns the least index j >= i with s[j] > root, or
+// len(s) if there is none. It is firstAbove's definition: the fallback on
+// platforms without the assembly kernel and the reference the tests compare
+// it against.
+func firstAboveGeneric(s []float32, i int, root float32) int {
+	for ; i < len(s); i++ {
+		if s[i] > root {
+			return i
 		}
 	}
+	return len(s)
 }
 
 func (h *minHeap) up(i int) {

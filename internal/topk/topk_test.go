@@ -190,6 +190,18 @@ func BenchmarkSelectHeap(b *testing.B) {
 	}
 }
 
+// BenchmarkSelect100k is the heap over batch_100k's catalog of scores: after
+// the first few thousand, almost every score fails the s > root test, so
+// this is the speed of that test.
+func BenchmarkSelect100k(b *testing.B) {
+	scores := benchScores(100000)
+	b.SetBytes(4 * 100000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SelectFromScores(scores, 21)
+	}
+}
+
 func BenchmarkSelectSort(b *testing.B) {
 	scores := benchScores(1 << 20)
 	b.ResetTimer()
