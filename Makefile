@@ -32,7 +32,7 @@ test:
 	go test ./...
 
 bench:
-	go test -bench=. -benchmem ./...
+	go test -run '^$$' -bench=. -benchmem ./...
 
 vet:
 	go vet ./...
@@ -60,9 +60,9 @@ race:
 # `GOARCH=arm64 go vet` keeps the pure-Go fallbacks of the amd64 assembly
 # kernels (tensor's dot_other.go and gemm_other.go, topk's
 # threshold_other.go) compiling, while the amd64 vet holds each .s file to
-# its Go declaration (asmdecl). One iteration of each scan-ladder benchmark
-# (the dot kernel by shape, batch_100k's fused scan and heap selection)
-# keeps them compiling and running.
+# its Go declaration (asmdecl). One iteration of every benchmark in the
+# tree (the scan ladder, the loadgen and sim ablations, the per-model Recommend
+# grid) keeps them compiling and running.
 # Then the perf-regression gate: it re-runs the smoke grid
 # (bench/smoke.json) and fails when any gated metric drifts beyond the
 # noise band of the committed baselines in results/baselines/, naming the
@@ -74,7 +74,7 @@ check: bin/etude-server bin/etude
 	go vet ./...
 	GOARCH=arm64 go vet ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test ./...
-	go test -run '^$$' -bench 'DotRows|TopK100k|Select100k' -benchtime 1x ./internal/tensor ./internal/topk
+	go test -run '^$$' -bench . -benchtime 1x ./...
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server go test -race ./internal/cluster ./internal/server ./internal/loadgen ./internal/trace ./internal/metrics ./internal/shard ./internal/topk ./internal/overload ./internal/chaos ./internal/leakcheck ./internal/batching ./internal/sched ./internal/workload ./internal/deploy ./internal/tensor ./internal/model
 	ETUDE_SERVER_BIN=$(CURDIR)/bin/etude-server bin/etude bench -grid bench/smoke.json
 	@$(MAKE) --no-print-directory procs

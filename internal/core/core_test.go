@@ -239,3 +239,35 @@ func TestRunSimReplicasScaleOut(t *testing.T) {
 		t.Fatalf("three CPU instances should handle 400 req/s at C=1e6: %+v", fleet[0].Latency)
 	}
 }
+
+// TestRunSimECommerceNeedsFiveT4s pins Table I's e-Commerce row (C=1e7,
+// 1,000 req/s): five T4s meet the 50 ms p90 SLO and four do not. The ramp
+// rises once per virtual second and reaches the target on its last tick,
+// so the shortest one is a single second at the full 1,000 req/s; longer
+// ramps spend most requests below the target and let four T4s pass.
+func TestRunSimECommerceNeedsFiveT4s(t *testing.T) {
+	spec := Spec{
+		Name:        "e-commerce",
+		Models:      []string{"gru4rec"},
+		Instances:   []string{"gpu-t4"},
+		CatalogSize: 10_000_000,
+		JIT:         true,
+		TargetRate:  1000,
+		Duration:    time.Second,
+		Seed:        1,
+	}
+	for _, tc := range []struct {
+		replicas int
+		meets    bool
+	}{{5, true}, {4, false}} {
+		spec.Replicas = tc.replicas
+		ms, err := RunSim(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms[0].MeetsSLO != tc.meets {
+			t.Errorf("%d T4s: meets SLO = %v, want %v (p90 %v, %d errors)",
+				tc.replicas, ms[0].MeetsSLO, tc.meets, ms[0].Latency.P90, ms[0].Errors)
+		}
+	}
+}

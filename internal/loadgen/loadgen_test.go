@@ -599,3 +599,63 @@ func TestHTTPTargetSetsRequestIDHeader(t *testing.T) {
 		t.Fatalf("X-Request-ID headers not received, saw %v", seen)
 	}
 }
+
+// BenchmarkAblationBackpressure contrasts the backpressure-aware load
+// generator with a naive open-loop generator against an overloaded target:
+// the naive loop piles up unbounded in-flight work while Algorithm 2 keeps
+// it bounded and sheds load gracefully.
+func BenchmarkAblationBackpressure(b *testing.B) {
+	slowTarget := func() (Target, *int64) {
+		var inFlight, maxInFlight int64
+		var mu sync.Mutex
+		return FuncTarget(func(ctx context.Context, r httpapi.PredictRequest) error {
+			mu.Lock()
+			inFlight++
+			if inFlight > maxInFlight {
+				maxInFlight = inFlight
+			}
+			mu.Unlock()
+			defer func() { mu.Lock(); inFlight--; mu.Unlock() }()
+			select {
+			case <-time.After(800 * time.Millisecond): // far slower than the offered rate
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			return nil
+		}), &maxInFlight
+	}
+	src := fixedSessions{sessions: []workload.Session{{1, 2}}}
+
+	b.Run("algorithm2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tgt, maxInFlight := slowTarget()
+			res, err := Run(context.Background(), Config{
+				TargetRate: 500, Duration: time.Second, Tick: 100 * time.Millisecond,
+				RequestTimeout: 2 * time.Second, DrainTimeout: 3 * time.Second,
+			}, &src, tgt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(*maxInFlight), "max-inflight")
+			b.ReportMetric(float64(res.Backpressured), "shed")
+		}
+	})
+	b.Run("openloop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tgt, maxInFlight := slowTarget()
+			var wg sync.WaitGroup
+			for r := 0; r < 500; r++ { // one second at 500 req/s, fired blind
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+					defer cancel()
+					_ = tgt.Predict(ctx, httpapi.PredictRequest{Items: []int64{1}})
+				}()
+				time.Sleep(2 * time.Millisecond)
+			}
+			wg.Wait()
+			b.ReportMetric(float64(*maxInFlight), "max-inflight")
+		}
+	})
+}

@@ -499,3 +499,34 @@ func checkGolden(t *testing.T, name string, cfg Config, session []int64, want st
 		}
 	}
 }
+
+// BenchmarkRecommend measures real single-request inference latency of
+// every model on this machine's CPU, eager and JIT, at three catalog sizes:
+// the live ground truth behind the Fig 3 CPU lines, the JIT ablation
+// (gru4rec at C=1e6) and the evidence that latency grows linearly in C.
+func BenchmarkRecommend(b *testing.B) {
+	session := []int64{17, 430, 99, 17, 2048}
+	for _, c := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
+			for _, name := range Names() {
+				m, err := New(name, Config{CatalogSize: c, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run(name+"/eager", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						m.Recommend(session)
+					}
+				})
+				if jc, ok := m.(JITCompilable); ok {
+					compiled := jc.CompiledRecommend()
+					b.Run(name+"/jit", func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							compiled(session)
+						}
+					})
+				}
+			}
+		})
+	}
+}

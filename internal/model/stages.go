@@ -17,10 +17,10 @@ type StageTimings struct {
 	TopK            time.Duration
 }
 
-// StagedRecommender is implemented by models — in any package, see
-// internal/knn — that decompose their own Recommend into stages under a
-// caller-supplied clock. Implementations must return exactly the results
-// Recommend would.
+// StagedRecommender is implemented by models that decompose their own
+// Recommend into stages under a caller-supplied clock (WithRetrieval's
+// models, whose retrieval stage is substituted). Implementations must
+// return exactly the results Recommend would.
 type StagedRecommender interface {
 	RecommendStaged(session []int64, now func() time.Duration) ([]topk.Result, StageTimings)
 }
@@ -43,8 +43,8 @@ type splitEncoder interface {
 //
 //   - split encoders (most embedding-table models) report embedding-lookup,
 //     encoder-forward and mips-topk separately;
-//   - StagedRecommender implementations (e.g. V-SkNN, whose "encoder" is a
-//     neighbor search) report their own split;
+//   - StagedRecommender implementations (WithRetrieval's models) report
+//     their own encoder vs. retrieval split;
 //   - plain Encoders (the session-graph models, whose lookup is interleaved
 //     with graph construction) report encoder vs. top-k;
 //   - anything else (RepeatNet's fused repeat/explore scoring) reports the

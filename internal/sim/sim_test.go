@@ -391,3 +391,38 @@ func TestInstanceTracingCPUQueueWait(t *testing.T) {
 		t.Fatalf("encoder+mips %v != service %v", got, service)
 	}
 }
+
+// BenchmarkAblationBatching contrasts GPU serving with the paper's
+// 1024/2ms batcher against unbatched serving, at the e-Commerce scenario's
+// per-instance load: batching amortises the catalog scan across requests.
+func BenchmarkAblationBatching(b *testing.B) {
+	run := func(maxBatch int) *RunResult {
+		eng := NewEngine()
+		in, err := NewInstance(eng, device.GPUT4(), "gru4rec",
+			model.Config{CatalogSize: 10_000_000, Seed: 1}, true, 2*time.Millisecond, maxBatch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := RunBenchmark(eng, LoadConfig{
+			TargetRate: 200, Duration: 20 * time.Second, NoRamp: true, Seed: 1,
+		}, []*Instance{in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	b.Run("batched-1024", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := run(1024)
+			b.ReportMetric(float64(res.Recorder.Overall().P90)/1e6, "p90-ms")
+			b.ReportMetric(float64(res.Recorder.Errors()), "errors")
+		}
+	})
+	b.Run("unbatched", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := run(1)
+			b.ReportMetric(float64(res.Recorder.Overall().P90)/1e6, "p90-ms")
+			b.ReportMetric(float64(res.Recorder.Errors()), "errors")
+		}
+	})
+}
