@@ -15,19 +15,19 @@ func point(v float64) MetricSummary {
 
 func TestMetricPolarity(t *testing.T) {
 	cases := map[string]Polarity{
-		"adaptive/latency/p99_ms":     LowerBetter,
-		"static/monthly_usd":          LowerBetter,
-		"crash/error_rate":            LowerBetter,
-		"rollout/tail_error_rate":     LowerBetter,
+		"adaptive/latency/p99_ms":       LowerBetter,
+		"static/monthly_usd":            LowerBetter,
+		"crash/error_rate":              LowerBetter,
+		"rollout/tail_error_rate":       LowerBetter,
 		"gru4rec/c100000/reconcile_err": LowerBetter,
-		"adaptive/goodput_rps":        HigherBetter,
-		"partial/availability":        HigherBetter,
-		"partial/post_availability":   HigherBetter,
-		"recall/down1/mean_recall":    HigherBetter,
-		"sweep/c100000/s8/speedup":    HigherBetter,
-		"partial/coverage_mean":       HigherBetter,
-		"adaptive/sent":               Neutral,
-		"adaptive/latency/count":      Neutral,
+		"adaptive/goodput_rps":          HigherBetter,
+		"partial/availability":          HigherBetter,
+		"partial/post_availability":     HigherBetter,
+		"recall/down1/mean_recall":      HigherBetter,
+		"sweep/c100000/s8/speedup":      HigherBetter,
+		"partial/coverage_mean":         HigherBetter,
+		"adaptive/sent":                 Neutral,
+		"adaptive/latency/count":        Neutral,
 	}
 	for key, want := range cases {
 		if got := MetricPolarity(key); got != want {

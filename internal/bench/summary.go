@@ -31,15 +31,15 @@ type Summary struct {
 	// Deterministic echoes the registry flag: metrics of deterministic
 	// experiments are comparable across machines, wall-clock ones only
 	// through their dimensionless keys.
-	Deterministic bool   `json:"deterministic"`
-	Scale         string `json:"scale"`
+	Deterministic bool    `json:"deterministic"`
+	Scale         string  `json:"scale"`
 	Seeds         []int64 `json:"seeds"`
 	// Build identifies what ran where (git SHA, go version, GOMAXPROCS,
 	// host), making every trajectory point attributable to a revision.
 	Build buildinfo.Info `json:"build"`
 	// GeneratedAt is RFC 3339 UTC, informational only — the gate never
 	// compares timestamps.
-	GeneratedAt string `json:"generated_at,omitempty"`
+	GeneratedAt string                   `json:"generated_at,omitempty"`
 	Metrics     map[string]MetricSummary `json:"metrics"`
 }
 

@@ -52,9 +52,9 @@ func TestParseCommentLineRejectsNonStamps(t *testing.T) {
 		"",
 		"tick,sent,completed",
 		"# just a comment",
-		"# build",          // no key=value pairs
-		"# build garbage",  // malformed pair
-		"1,2,3,4.5",        // data row
+		"# build",         // no key=value pairs
+		"# build garbage", // malformed pair
+		"1,2,3,4.5",       // data row
 		"## build git_sha=x",
 	} {
 		if _, ok := ParseCommentLine(line); ok {

@@ -94,23 +94,23 @@ func (s Spec) modelConfig() model.Config {
 
 // Measurement is the outcome of one (model, instance type) combination.
 type Measurement struct {
-	Experiment    string              `json:"experiment"`
-	Model         string              `json:"model"`
-	Instance      string              `json:"instance"`
-	JIT           bool                `json:"jit"`
-	Replicas      int                 `json:"replicas"`
-	TargetRate    float64             `json:"target_rate"`
-	Latency       metrics.Snapshot    `json:"latency"`
-	Errors        int64               `json:"errors"`
-	Backpressured int64               `json:"backpressured"`
+	Experiment    string           `json:"experiment"`
+	Model         string           `json:"model"`
+	Instance      string           `json:"instance"`
+	JIT           bool             `json:"jit"`
+	Replicas      int              `json:"replicas"`
+	TargetRate    float64          `json:"target_rate"`
+	Latency       metrics.Snapshot `json:"latency"`
+	Errors        int64            `json:"errors"`
+	Backpressured int64            `json:"backpressured"`
 	// Outcomes breaks responses down by status class (2xx/4xx/5xx) and
 	// error kind (timeout/refused/server), plus degraded responses,
 	// retries and drain stragglers. Zero-valued for pre-existing stored
 	// results.
 	Outcomes metrics.OutcomeCounts `json:"outcomes"`
-	Sent          int64               `json:"sent"`
-	MeetsSLO      bool                `json:"meets_slo"`
-	Series        []metrics.TickStats `json:"series,omitempty"`
+	Sent     int64                 `json:"sent"`
+	MeetsSLO bool                  `json:"meets_slo"`
+	Series   []metrics.TickStats   `json:"series,omitempty"`
 }
 
 // RunSim executes the experiment on the discrete-event simulator: one run

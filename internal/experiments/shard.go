@@ -107,7 +107,7 @@ type ShardHedgeRow struct {
 // ShardCostRow is one shard count's deployment option for the largest
 // catalog at the configured rate.
 type ShardCostRow struct {
-	Shards int             `json:"shards"`
+	Shards int              `json:"shards"`
 	Option costmodel.Option `json:"option"`
 }
 

@@ -9,26 +9,26 @@ import (
 // virtual time): how many requests completed, how many errored, and the
 // latency distribution of the successes.
 type TickStats struct {
-	Tick      int           `json:"tick"`
-	Sent      int64         `json:"sent"`
-	Completed int64         `json:"completed"`
-	Errors    int64         `json:"errors"`
-	Degraded  int64         `json:"degraded,omitempty"`
+	Tick      int   `json:"tick"`
+	Sent      int64 `json:"sent"`
+	Completed int64 `json:"completed"`
+	Errors    int64 `json:"errors"`
+	Degraded  int64 `json:"degraded,omitempty"`
 	// Partial counts successful partial-coverage responses; CoverageMean is
 	// the mean shard-coverage fraction over the tick's successes (1 when
 	// every answer saw the full catalog, 0 when the tick had no successes).
 	Partial      int64   `json:"partial,omitempty"`
 	CoverageMean float64 `json:"coverage_mean,omitempty"`
-	Retries   int64         `json:"retries,omitempty"`
+	Retries      int64   `json:"retries,omitempty"`
 	// Errors split by kind (their sum equals Errors) so a time-series plot
 	// shows when the failure mode shifted, not just that errors occurred.
-	Timeouts     int64 `json:"timeouts,omitempty"`
-	Refused      int64 `json:"refused,omitempty"`
-	ServerErrors int64 `json:"server_errors,omitempty"`
-	OtherErrors  int64 `json:"other_errors,omitempty"`
-	P50       time.Duration `json:"p50"`
-	P90       time.Duration `json:"p90"`
-	P99       time.Duration `json:"p99"`
+	Timeouts     int64         `json:"timeouts,omitempty"`
+	Refused      int64         `json:"refused,omitempty"`
+	ServerErrors int64         `json:"server_errors,omitempty"`
+	OtherErrors  int64         `json:"other_errors,omitempty"`
+	P50          time.Duration `json:"p50"`
+	P90          time.Duration `json:"p90"`
+	P99          time.Duration `json:"p99"`
 	// Tenant labels the workload the recorder measured (the X-Tenant value
 	// the load generator stamped on its requests); empty for single-tenant
 	// runs.

@@ -13,16 +13,16 @@ func TestPolicyMinShards(t *testing.T) {
 		s    int
 		want int
 	}{
-		{Policy{}, 4, 4},                                              // fail-fast: every shard
-		{Policy{Mode: PolicyPartial}, 4, 2},                           // default MinCoverage 0.5
-		{Policy{Mode: PolicyPartial, MinCoverage: 0.75}, 4, 3},        // ⌈0.75·4⌉
-		{Policy{Mode: PolicyPartial, MinCoverage: 0.75}, 5, 4},        // ⌈0.75·5⌉ = ⌈3.75⌉
-		{Policy{Mode: PolicyPartial, MinCoverage: 0.01}, 4, 1},        // floor clamps at 1
-		{Policy{Mode: PolicyPartial, MinCoverage: 1}, 4, 4},           // full coverage required
-		{Policy{Mode: PolicyPartial, MinCoverage: 7}, 4, 4},           // >1 clamps to all
-		{Policy{Mode: PolicyPartial, MinCoverage: 0.5}, 1, 1},         // single shard
-		{Policy{Mode: PolicyFailFast, MinCoverage: 0.25}, 8, 8},       // coverage ignored fail-fast
-		{Policy{Mode: PolicyPartial, MinCoverage: 0.334}, 3, 2},       // ⌈1.002⌉
+		{Policy{}, 4, 4},                                        // fail-fast: every shard
+		{Policy{Mode: PolicyPartial}, 4, 2},                     // default MinCoverage 0.5
+		{Policy{Mode: PolicyPartial, MinCoverage: 0.75}, 4, 3},  // ⌈0.75·4⌉
+		{Policy{Mode: PolicyPartial, MinCoverage: 0.75}, 5, 4},  // ⌈0.75·5⌉ = ⌈3.75⌉
+		{Policy{Mode: PolicyPartial, MinCoverage: 0.01}, 4, 1},  // floor clamps at 1
+		{Policy{Mode: PolicyPartial, MinCoverage: 1}, 4, 4},     // full coverage required
+		{Policy{Mode: PolicyPartial, MinCoverage: 7}, 4, 4},     // >1 clamps to all
+		{Policy{Mode: PolicyPartial, MinCoverage: 0.5}, 1, 1},   // single shard
+		{Policy{Mode: PolicyFailFast, MinCoverage: 0.25}, 8, 8}, // coverage ignored fail-fast
+		{Policy{Mode: PolicyPartial, MinCoverage: 0.334}, 3, 2}, // ⌈1.002⌉
 	}
 	for _, c := range cases {
 		if got := c.pol.MinShards(c.s); got != c.want {
