@@ -44,7 +44,8 @@ race:
 	go vet ./...
 	go test -race ./...
 
-# The merge gate (also run by CI): build + vet + full suite, plus the race
+# The merge gate (also run by CI): gofmt (any file `gofmt -l` lists fails
+# it), build + vet + full suite, plus the race
 # detector on the packages with real concurrency — the cluster lifecycle
 # (drain/scale/rolling-update/supervisor, the process runner and control
 # plane), the server's admission control, the batching loop and the
@@ -70,6 +71,8 @@ race:
 # (`make procs`): a test or gate run that left an etude-server, test
 # binary or benchmark process running fails the check.
 check: bin/etude-server bin/etude
+	@unformatted=$$(gofmt -l internal cmd perf examples); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	go build ./...
 	go vet ./...
 	GOARCH=arm64 go vet ./...

@@ -56,7 +56,7 @@ func main() {
 		topK       = flag.Int("topk", model.DefaultTopK, "recommendations per request")
 		faithful   = flag.Bool("faithful", false, "serve the RecBole-faithful (buggy) variant")
 		jit        = flag.Bool("jit", true, "serve the JIT-compiled execution plan")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "executors: batches (of one when unbatched) run at once (0 = GOMAXPROCS)")
 		batch      = flag.Bool("batch", false, "enable request batching (1024 / 2ms)")
 		tenants    = flag.String("tenants", "", "enable the SLO-aware multi-tenant scheduler with these tenant contracts, as comma-separated name:weight[:priority] entries (e.g. \"a:3,b:1\"); requests label themselves via the X-Tenant header, unknown tenants get an isolated weight-1 queue")
 		schedQueue = flag.Int("sched-queue", 256, "per-tenant queue bound under -tenants; enqueues beyond it shed with 429 (0 = unbounded)")

@@ -66,7 +66,6 @@ func TestFig3ModeledShape(t *testing.T) {
 		CatalogSizes: []int{10_000, 100_000, 1_000_000, 10_000_000},
 		Devices:      []string{"cpu", "gpu-t4"},
 		Requests:     50,
-		Mode:         Fig3Modeled,
 		Seed:         1,
 	}
 	res, err := Fig3(cfg)
@@ -127,32 +126,6 @@ func TestFig3ModeledShape(t *testing.T) {
 // TestFig3MeasuredAgainstModeled runs the measured mode on a small catalog
 // and checks it behaves: jit ≤ eager (real buffer-reuse effect) and both
 // latencies are nonzero.
-func TestFig3Measured(t *testing.T) {
-	cfg := Fig3Config{
-		Models:       []string{"gru4rec", "core"},
-		CatalogSizes: []int{50_000},
-		Devices:      []string{"cpu"},
-		Requests:     40,
-		Mode:         Fig3Measured,
-		Seed:         1,
-	}
-	res, err := Fig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		if r.P90 <= 0 {
-			t.Errorf("%+v: zero latency", r)
-		}
-	}
-	// Measured mode rejects GPU devices.
-	bad := cfg
-	bad.Devices = []string{"gpu-t4"}
-	if _, err := Fig3(bad); err == nil {
-		t.Fatalf("measured GPU accepted")
-	}
-}
-
 func TestFig4ScaledSweep(t *testing.T) {
 	cfg := Fig4Config{
 		Scenarios: []costmodel.Scenario{

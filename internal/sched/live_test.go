@@ -21,7 +21,7 @@ import (
 // tenant read from tenantOf.
 func newDispatcher[Req, Resp any](t *testing.T, cfg sched.Config, tenantOf func(Req) string, handler batching.Handler[Req, Resp]) *batching.Batcher[Req, Resp] {
 	t.Helper()
-	b, err := batching.NewTenants(cfg, nil, tenantOf, handler)
+	b, err := batching.NewTenants(cfg, nil, tenantOf, 1, handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestDispatcherExpiresDeadEntries(t *testing.T) {
 }
 
 func TestDispatcherSubmitAfterClose(t *testing.T) {
-	d, err := batching.NewTenants(sched.Config{MaxBatch: 1, FlushEvery: time.Millisecond}, nil, tenantT, func(batch []int) []int { return batch })
+	d, err := batching.NewTenants(sched.Config{MaxBatch: 1, FlushEvery: time.Millisecond}, nil, tenantT, 1, func(batch []int) []int { return batch })
 	if err != nil {
 		t.Fatal(err)
 	}

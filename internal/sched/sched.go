@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -378,8 +379,9 @@ func (c *Core[T]) NextFlushAt() (at time.Duration, ok bool) {
 // tenants converge to throughput shares proportional to their weights
 // while idle tenants bank nothing. At most TargetBatch entries are
 // assembled — the amortisation knee; a larger batch would add latency
-// faster than it amortises fixed cost.
-func (c *Core[T]) Assemble(now time.Duration) (batch, expired []T) {
+// faster than it amortises fixed cost. Assemble appends to batch and
+// expired, which must be empty: nil, or storage to reuse.
+func (c *Core[T]) Assemble(now time.Duration, batch, expired []T) ([]T, []T) {
 	defer c.retighten()
 	for _, tr := range c.tiers {
 		for _, q := range tr.queues {
@@ -387,13 +389,13 @@ func (c *Core[T]) Assemble(now time.Duration) (batch, expired []T) {
 		}
 	}
 	if c.pending == 0 {
-		return nil, expired
+		return batch, expired
 	}
 	max := c.cfg.TargetBatch
 	if max > c.pending {
 		max = c.pending
 	}
-	batch = make([]T, 0, max)
+	batch = slices.Grow(batch, max)
 	for _, tr := range c.tiers {
 		c.drainTier(tr, &batch, max)
 		if len(batch) >= max {

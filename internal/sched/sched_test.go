@@ -89,7 +89,7 @@ func TestWDRRSharesConvergeToWeights(t *testing.T) {
 			}
 		}
 		now += ms(2)
-		batch, expired := c.Assemble(now)
+		batch, expired := c.Assemble(now, nil, nil)
 		if len(expired) != 0 {
 			t.Fatalf("unexpected expiries: %d", len(expired))
 		}
@@ -126,7 +126,7 @@ func TestWDRRNoBankedCreditWhileIdle(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			_ = c.Enqueue(now, "a", 0, 1)
 		}
-		batch, _ := c.Assemble(now)
+		batch, _ := c.Assemble(now, nil, nil)
 		if len(batch) != 4 {
 			t.Fatalf("round %d: batch %d", round, len(batch))
 		}
@@ -137,7 +137,7 @@ func TestWDRRNoBankedCreditWhileIdle(t *testing.T) {
 		_ = c.Enqueue(now, "a", 0, 1)
 		_ = c.Enqueue(now, "b", 0, 2)
 	}
-	batch, _ := c.Assemble(now)
+	batch, _ := c.Assemble(now, nil, nil)
 	nb := 0
 	for _, v := range batch {
 		if v == 2 {
@@ -165,14 +165,14 @@ func TestStrictPriorityTiers(t *testing.T) {
 		_ = c.Enqueue(now, "interactive", 0, 1)
 		_ = c.Enqueue(now, "batch", 0, 2)
 	}
-	batch, _ := c.Assemble(now)
+	batch, _ := c.Assemble(now, nil, nil)
 	for _, v := range batch {
 		if v != 1 {
 			t.Fatalf("batch-tier entry served while the interactive tier had %d pending", c.tenants["interactive"].len())
 		}
 	}
 	// Once the interactive tier drains, the batch tier fills the slack.
-	batch, _ = c.Assemble(now)
+	batch, _ = c.Assemble(now, nil, nil)
 	want := map[int]int{1: 2, 2: 2}
 	got := map[int]int{}
 	for _, v := range batch {
@@ -211,7 +211,7 @@ func TestExpiredDroppedAtAssembly(t *testing.T) {
 	_ = c.Enqueue(0, "a", ms(1), 1)  // dies at 1ms
 	_ = c.Enqueue(0, "a", ms(50), 2) // alive
 	_ = c.Enqueue(0, "a", 0, 3)      // no deadline
-	batch, expired := c.Assemble(ms(2))
+	batch, expired := c.Assemble(ms(2), nil, nil)
 	if len(expired) != 1 || expired[0] != 1 {
 		t.Fatalf("expired = %v, want the 1ms entry", expired)
 	}
@@ -238,7 +238,7 @@ func TestNextFlushAtEmptyBufferReset(t *testing.T) {
 	if !ok || at != ms(12) {
 		t.Fatalf("NextFlushAt = %v, %v; want 12ms", at, ok)
 	}
-	batch, _ := c.Assemble(ms(12))
+	batch, _ := c.Assemble(ms(12), nil, nil)
 	if len(batch) != 1 {
 		t.Fatalf("flush served %d", len(batch))
 	}
@@ -267,7 +267,7 @@ func TestReadyCoalescesAtTargetBatch(t *testing.T) {
 	if !c.Ready(now) {
 		t.Fatal("not ready at TargetBatch pending")
 	}
-	batch, _ := c.Assemble(now)
+	batch, _ := c.Assemble(now, nil, nil)
 	if len(batch) != 4 {
 		t.Fatalf("coalesced batch = %d, want the full target 4", len(batch))
 	}
@@ -275,7 +275,7 @@ func TestReadyCoalescesAtTargetBatch(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_ = c.Enqueue(now, "a", 0, i)
 	}
-	batch, _ = c.Assemble(now)
+	batch, _ = c.Assemble(now, nil, nil)
 	if len(batch) != 4 {
 		t.Fatalf("assembled %d, want TargetBatch 4", len(batch))
 	}
@@ -333,7 +333,7 @@ func TestNoBatchWaitsPastTightestDeadline(t *testing.T) {
 		if flushNow < now {
 			flushNow = now
 		}
-		batch, expired := c.Assemble(flushNow)
+		batch, expired := c.Assemble(flushNow, nil, nil)
 		for _, v := range batch {
 			if dl := byValue[v].deadline; dl > 0 && dl < flushNow {
 				t.Fatalf("trial %d: batched entry %d was dead (deadline %v, flush %v)", trial, v, dl, flushNow)
@@ -469,7 +469,7 @@ func TestDrainReturnsEnqueueOrderAndResets(t *testing.T) {
 	if at, ok := c.NextFlushAt(); !ok || at != ms(30) {
 		t.Fatalf("NextFlushAt = %v, %v; want %v", at, ok, ms(30))
 	}
-	batch, expired := c.Assemble(ms(30))
+	batch, expired := c.Assemble(ms(30), nil, nil)
 	if len(batch) != 1 || batch[0] != 5 || len(expired) != 0 {
 		t.Fatalf("Assemble after Drain = %v, %v", batch, expired)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"etude/internal/batching"
 	"etude/internal/deploy"
 	"etude/internal/httpapi"
 	"etude/internal/metrics"
@@ -332,4 +334,124 @@ func TestLoadFromReleasesRefusesCorruptCurrent(t *testing.T) {
 	if _, err := LoadFromReleases(store, 0, 0, Options{}); !errors.As(err, &ve) {
 		t.Fatalf("LoadFromReleases over corrupt CURRENT = %v, want *deploy.VerifyError", err)
 	}
+}
+
+// served is one in-process prediction's outcome.
+type served struct {
+	code    int
+	version string
+	body    httpapi.PredictResponse
+}
+
+// serveAsync answers one prediction through the server's handler on its own
+// goroutine.
+func serveAsync(s *Server, session []int64) <-chan served {
+	out := make(chan served, 1)
+	go func() {
+		body, _ := json.Marshal(httpapi.PredictRequest{Items: session})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, httpapi.PredictPath, bytes.NewReader(body)))
+		res := served{code: rec.Code, version: rec.Header().Get(httpapi.HeaderModelVersion)}
+		_ = json.Unmarshal(rec.Body.Bytes(), &res.body)
+		out <- res
+	}()
+	return out
+}
+
+// checkVersionConsistent fails unless the response is bit for bit the eager
+// Recommend of the release its X-Model-Version header names.
+func checkVersionConsistent(t *testing.T, store *deploy.Store, session []int64, res served) {
+	t.Helper()
+	if res.code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", res.code)
+	}
+	v, err := strconv.Atoi(res.version)
+	if err != nil {
+		t.Fatalf("%s = %q: %v", httpapi.HeaderModelVersion, res.version, err)
+	}
+	m, _, err := store.LoadVersion(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Recommend(session)
+	if len(res.body.Items) != len(want) {
+		t.Fatalf("served %d items, v%d's eager Recommend %d", len(res.body.Items), v, len(want))
+	}
+	for i, r := range want {
+		if res.body.Items[i] != r.Item || math.Float32bits(res.body.Scores[i]) != math.Float32bits(r.Score) {
+			t.Fatalf("rank %d: served %d:%v, v%d's eager Recommend %d:%v — versions mixed",
+				i, res.body.Items[i], res.body.Scores[i], v, r.Item, r.Score)
+		}
+	}
+}
+
+// versionMixStore publishes two releases that answer session differently
+// and promotes the first.
+func versionMixStore(t *testing.T, session []int64) (store *deploy.Store, v2 int) {
+	t.Helper()
+	store = deploy.NewStore(objstore.NewMemBucket())
+	v1 := publishTestRelease(t, store, 1)
+	if err := store.Promote(v1); err != nil {
+		t.Fatal(err)
+	}
+	v2 = publishTestRelease(t, store, 2)
+	m1, _, _ := store.LoadVersion(v1)
+	m2, _, _ := store.LoadVersion(v2)
+	if m1.Recommend(session)[0] == m2.Recommend(session)[0] {
+		t.Fatal("the two releases answer alike: the test could not see a mix")
+	}
+	return store, v2
+}
+
+// TestBatchedSwapBeforeFlushKeepsAdmissionVersion: a request admitted on v1
+// that waits in the batch buffer while v2 lands is computed by v1, the
+// version its X-Model-Version header names.
+func TestBatchedSwapBeforeFlushKeepsAdmissionVersion(t *testing.T) {
+	session := []int64{1, 2, 3}
+	store, v2 := versionMixStore(t, session)
+	s, err := LoadFromReleases(store, 0, 0, Options{Workers: 1, Batch: &batching.Config{MaxBatch: 2, FlushEvery: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	res := serveAsync(s, session)
+	waitFor(t, func() bool { return s.batcher.Pending() == 1 })
+	if err := s.ApplyRelease(v2); err != nil {
+		t.Fatal(err)
+	}
+	if s.batcher.Pending() != 1 {
+		t.Fatal("the flush fired before the swap landed")
+	}
+	checkVersionConsistent(t, store, session, <-res)
+}
+
+// TestUnbatchedSwapWhileQueuedKeepsAdmissionVersion: the batch-of-one
+// variant. A request admitted on v1 that waits for the only executor while
+// v2 lands is computed by v1.
+func TestUnbatchedSwapWhileQueuedKeepsAdmissionVersion(t *testing.T) {
+	session := []int64{4, 5}
+	store, v2 := versionMixStore(t, session)
+	s, err := LoadFromReleases(store, 0, 0, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// Park v1's only predictor: the first request takes the executor and
+	// waits there, the second queues behind it.
+	pool := s.rt.Load().pool
+	p := <-pool
+	unpark := sync.OnceFunc(func() { pool <- p })
+	defer unpark()
+	first := serveAsync(s, session)
+	waitFor(t, func() bool { return s.batcher.Pending() == 1 })
+	second := serveAsync(s, session)
+	waitFor(t, func() bool { return s.batcher.Pending() == 2 })
+	if err := s.ApplyRelease(v2); err != nil {
+		t.Fatal(err)
+	}
+	unpark()
+	checkVersionConsistent(t, store, session, <-first)
+	checkVersionConsistent(t, store, session, <-second)
 }

@@ -107,8 +107,9 @@ func TestRequestIDEchoedOnShed(t *testing.T) {
 func TestRequestIDEchoedOnClientCancel(t *testing.T) {
 	s, _ := New(testModel(t), Options{Workers: 1})
 	defer s.Close()
-	// Hold the only worker so the handler parks in the pool select, then
-	// arrive with an already-cancelled context: the 499 path.
+	// Hold the only predictor, then arrive with an already-cancelled
+	// context: the request is answered 499 when its batch would start,
+	// without reaching the model.
 	p := <-s.rt.Load().pool
 	defer func() { s.rt.Load().pool <- p }()
 

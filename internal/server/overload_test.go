@@ -17,6 +17,7 @@ import (
 	"etude/internal/metrics"
 	"etude/internal/overload"
 	"etude/internal/sched"
+	"etude/internal/shard"
 	"etude/internal/trace"
 )
 
@@ -124,10 +125,11 @@ func TestLimiterReleasedOnEveryOutcome(t *testing.T) {
 	}
 }
 
-// TestBatchErrorMapping pins the one answer to every way the batcher can
-// refuse a request — plain batching and the scheduler alike: the status,
-// the counter it raises and whether it tells the adaptive limiter the
-// server is congested.
+// TestBatchErrorMapping pins the one answer to every way the batcher or the
+// gateway can refuse a request — batches of one, plain batching, the
+// scheduler and the scatter-gather frontend alike: the status, the counter
+// it raises and whether it tells the adaptive limiter the server is
+// congested. A client hang-up is 499 and no congestion signal everywhere.
 func TestBatchErrorMapping(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -139,10 +141,12 @@ func TestBatchErrorMapping(t *testing.T) {
 	}{
 		{"expired sentinel", batching.ErrDeadlineExpired, http.StatusGatewayTimeout, false, "deadlineExpired", true},
 		{"context deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, false, "deadlineExpired", true},
-		{"context canceled", context.Canceled, http.StatusGatewayTimeout, false, "", true},
+		{"context canceled", context.Canceled, httpapi.StatusClientClosedRequest, false, "", false},
 		{"codel drop", batching.ErrCoDelDropped, http.StatusServiceUnavailable, true, "codelDropped", true},
 		{"tenant shed", sched.ErrShed, http.StatusTooManyRequests, true, "shed", false},
 		{"closed", batching.ErrClosed, http.StatusServiceUnavailable, false, "", false},
+		{"gateway coverage", &shard.CoverageError{Answered: 1, Shards: 4, Min: 3}, http.StatusServiceUnavailable, false, "", false},
+		{"gateway shard status", &httpapi.StatusError{Code: http.StatusTooManyRequests}, http.StatusTooManyRequests, false, "", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &Server{}
@@ -193,7 +197,7 @@ func TestSchedCoDelShedsBehindParkedHandler(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Park the handler: it waits for the only worker slot.
+	// Park the handler: it waits for the only predictor.
 	pool := s.rt.Load().pool
 	slot := <-pool
 	unpark := sync.OnceFunc(func() { pool <- slot })

@@ -1,14 +1,19 @@
 // Package server implements ETUDE's lightweight inference server — the Go
 // analogue of the paper's Actix-based Rust runtime. It serves PyTorch-style
-// SBR models (internal/model) over HTTP with a bounded worker pool,
-// optional JIT-compiled execution paths, optional request batching
-// (internal/batching), model deployment from an object-store bucket, and
+// SBR models (internal/model) over HTTP with optional JIT-compiled execution
+// paths, model deployment from an object-store bucket, and
 // inference-duration metrics in response headers.
 //
+// Every request for a local model runs through one execution stage: a
+// batcher (internal/batching) with Options.Workers executors. Unbatched
+// serving, the paper's CPU configuration, is the batch of one: a request
+// that finds an executor free runs at once on its own goroutine.
+// Options.Batch and Options.Sched only change how batches form.
+//
 // The design goal is identical to the paper's: near-zero serving overhead.
-// Requests are decoded, dispatched to a worker slot, executed in-process and
-// encoded — no inter-process hand-off, no per-request interpreter, which is
-// precisely what the TorchServe baseline (internal/torchserve) pays for.
+// Requests are decoded, given an executor, executed in-process and encoded —
+// no inter-process hand-off, no per-request interpreter, which is precisely
+// what the TorchServe baseline (internal/torchserve) pays for.
 //
 // Observability: an optional trace.Tracer decomposes each request into
 // pipeline stages (admission, queue wait, batch assembly, embedding lookup,
@@ -49,14 +54,15 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Workers bounds concurrent inference (default: GOMAXPROCS).
+	// Workers is the number of the batcher's executors: how many batches
+	// (batches of one when unbatched) run at once (default: GOMAXPROCS).
 	Workers int
 	// JIT serves JIT-compiled execution plans when the model supports them
 	// (buffer reuse, fused steps); models that cannot be compiled — in the
 	// paper, LightSANs — transparently fall back to eager execution.
 	JIT bool
-	// Batch enables request batching with the given config. Nil disables
-	// batching (the CPU serving configuration).
+	// Batch enables request batching with the given config. Nil serves
+	// batches of one (the CPU serving configuration).
 	Batch *batching.Config
 	// Sched enables the SLO-aware multi-tenant scheduler (internal/sched)
 	// in place of the plain batcher: requests are keyed by their X-Tenant
@@ -78,10 +84,10 @@ type Options struct {
 	// against the deployment's capacity.
 	Limiter *overload.Limiter
 	// CoDel, when non-nil, sheds queued work whose sojourn time shows a
-	// standing queue: worker-pool waits on the unbatched path, buffered
-	// entries at flush when Batch or Sched is set (the batching loop
-	// applies it in both modes; a Batch config's own CoDel takes
-	// precedence). Shed requests answer 503.
+	// standing queue, judged when the work could start: the wait for an
+	// executor when unbatched, the wait in the buffer when Batch or Sched
+	// is set (a Batch config's own CoDel takes precedence). Shed requests
+	// answer 503.
 	CoDel *overload.CoDel
 	// DegradeAt is the pending-request watermark at which prediction
 	// requests are answered from the precomputed fallback list instead of
@@ -135,26 +141,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// predictor is one worker slot's inference function. The span is nil when
+// predictor is one executor's inference function. The span is nil when
 // tracing is disabled; implementations must treat that as the fast path.
 type predictor func(session []int64, sp *trace.Span) []topk.Result
 
-// batchItem is one request travelling through the batcher: the session plus
-// its span and enqueue timestamp so the flush can attribute the batching
-// wait and head-of-line wait to the right request, and its tenant label
-// (queued on only when Options.Sched is set).
+// batchItem is one request travelling through the batcher: the session, the
+// runtime pinned at admission (the batch runs it on that runtime's
+// predictors), its span and enqueue timestamp so the batch can attribute
+// its waits to the right request, and its tenant label (queued on only
+// when Options.Sched is set). runBatch answers in place: recs, and the size
+// of the batch it was served in (for the X-Batch-Size header).
 type batchItem struct {
 	session []int64
+	rt      *modelRuntime
 	sp      *trace.Span
 	enq     time.Duration
 	tenant  string
-}
-
-// batchOut carries a batched response plus the size of the batch it was
-// served in (for the X-Batch-Size header).
-type batchOut struct {
-	recs []topk.Result
-	size int
+	recs    []topk.Result
+	size    int
 }
 
 // modelRuntime is one loaded model version and everything derived from it:
@@ -187,14 +191,16 @@ type modelRuntime struct {
 type Server struct {
 	opts   Options
 	tracer *trace.Tracer
-	// rt is the serving runtime — model, worker pool, version counters —
+	// rt is the serving runtime — model, predictor pool, version counters —
 	// swapped atomically by ApplyRelease. Never nil after construction.
 	rt atomic.Pointer[modelRuntime]
-	// batcher is set when Options.Batch (a one-tenant FIFO) or
-	// Options.Sched (per-tenant WDRR queues) is; waitStage is the stage its
-	// enqueue→flush wait is charged to: batch-assembly or sched-wait, so
-	// tenant experiments can pin tail movement on scheduling.
-	batcher   *batching.Batcher[batchItem, batchOut]
+	// batcher runs every local-model request: batches of one unless
+	// Options.Batch (a one-tenant FIFO) or Options.Sched (per-tenant WDRR
+	// queues) is set; nil in static and gateway modes. waitStage is the
+	// stage its enqueue→start wait is charged to: queue-wait, batch-assembly
+	// or sched-wait, so tenant experiments can pin tail movement on
+	// scheduling. Its zero value, queue-wait, is the unbatched case.
+	batcher   *batching.Batcher[batchItem, batchItem]
 	waitStage trace.Stage
 	// releases is the versioned store behind ApplyRelease (nil unless the
 	// server was built by LoadFromReleases); watcher polls it for fleet-wide
@@ -258,6 +264,9 @@ func newServer(m model.Model, opts Options, version int) (*Server, error) {
 	if m == nil {
 		return nil, fmt.Errorf("server: nil model")
 	}
+	if opts.Batch != nil && opts.Sched != nil {
+		return nil, fmt.Errorf("server: Batch and Sched are mutually exclusive — the scheduler does its own batching")
+	}
 	opts = opts.withDefaults()
 	s := &Server{opts: opts, tracer: opts.Tracer}
 	rt, err := buildRuntime(m, opts, version)
@@ -265,22 +274,20 @@ func newServer(m model.Model, opts Options, version int) (*Server, error) {
 		return nil, err
 	}
 	s.rt.Store(rt)
+	// A batch of one is full on arrival, so its flush interval never applies.
+	cfg, codel := sched.Config{MaxBatch: 1, FlushEvery: time.Millisecond}, opts.CoDel
+	var tenantOf func(batchItem) string
 	switch {
-	case opts.Batch != nil && opts.Sched != nil:
-		return nil, fmt.Errorf("server: Batch and Sched are mutually exclusive — the scheduler does its own batching")
 	case opts.Batch != nil:
-		cfg := *opts.Batch
-		if cfg.CoDel == nil {
-			cfg.CoDel = opts.CoDel
+		cfg, s.waitStage = opts.Batch.Sched(), trace.StageBatchAssembly
+		if opts.Batch.CoDel != nil {
+			codel = opts.Batch.CoDel
 		}
-		s.batcher, err = batching.New(cfg, s.runBatch)
-		s.waitStage = trace.StageBatchAssembly
 	case opts.Sched != nil:
-		tenantOf := func(it batchItem) string { return it.tenant }
-		s.batcher, err = batching.NewTenants(*opts.Sched, opts.CoDel, tenantOf, s.runBatch)
-		s.waitStage = trace.StageSchedWait
+		cfg, s.waitStage = *opts.Sched, trace.StageSchedWait
+		tenantOf = func(it batchItem) string { return it.tenant }
 	}
-	if err != nil {
+	if s.batcher, err = batching.NewTenants(cfg, codel, tenantOf, opts.Workers, s.runBatch); err != nil {
 		return nil, err
 	}
 	s.ready.Store(true)
@@ -360,12 +367,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // InFlight returns the number of admitted-but-unanswered prediction
 // requests — the quantity a graceful shutdown waits on.
 func (s *Server) InFlight() int64 { return s.pending.Load() }
-
-// DegradedCount returns how many responses the fallback responder served.
-func (s *Server) DegradedCount() int64 { return s.degraded.Load() }
-
-// Tracer returns the server's tracer (nil when tracing is disabled).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // NewStatic builds the "empty response, no computation" server used by the
 // infrastructure validation experiment (paper Fig 2).
@@ -539,34 +540,41 @@ func (s *Server) VerifyFailures() int64 { return s.verifyFailures.Load() }
 // was set).
 func (s *Server) Gateway() *shard.Gateway { return s.gw }
 
-// runBatch executes a batch on a single worker slot, sequentially — the CPU
-// analogue of one fused accelerator kernel sequence. Per item it attributes
-// the enqueue→flush wait (waitStage) and queue-wait (head-of-line inside
-// the batch) before the model stages.
-func (s *Server) runBatch(items []batchItem) []batchOut {
-	// Load the runtime once per batch: a hot-swap mid-batch must not mix
-	// predictors from two versions, and returning the slot to the pool it
-	// came from keeps a retired runtime's pool intact while it drains.
-	rt := s.rt.Load()
-	p := <-rt.pool
-	defer func() { rt.pool <- p }()
+// runBatch executes a batch on one executor, item by item — the CPU
+// analogue of one fused accelerator kernel sequence — and answers in place.
+// Each item runs on a predictor of the runtime pinned at its admission, so
+// a hot swap between admission and execution cannot mix versions, and a
+// predictor goes back to the pool it came from, which keeps a retired
+// runtime's pool intact while it drains. Per item it attributes the
+// enqueue→start wait (waitStage) and queue-wait (head-of-line inside the
+// batch) before the model stages.
+func (s *Server) runBatch(items []batchItem) []batchItem {
 	s.tracer.ObserveBatchFlush(len(items))
-	flushStart := s.tracer.Now()
-	out := make([]batchOut, len(items))
-	for i, it := range items {
+	start := s.tracer.Now()
+	var rt *modelRuntime
+	var p predictor
+	for i := range items {
+		it := &items[i]
+		if it.rt != rt {
+			if rt != nil {
+				rt.pool <- p
+			}
+			rt = it.rt
+			p = <-rt.pool
+		}
 		if it.sp != nil {
-			it.sp.Observe(s.waitStage, flushStart-it.enq)
-			it.sp.Observe(trace.StageQueueWait, it.sp.Now()-flushStart)
+			it.sp.Observe(s.waitStage, start-it.enq)
+			it.sp.Observe(trace.StageQueueWait, it.sp.Now()-start)
 			it.sp.SetBatchSize(len(items))
 		}
-		out[i] = batchOut{recs: p(it.session, it.sp), size: len(items)}
+		it.recs, it.size = p(it.session, it.sp), len(items)
 	}
-	return out
+	rt.pool <- p
+	return items
 }
 
-// TenantStats snapshots the batcher's per-tenant counters (nil when
-// neither Options.Batch nor Options.Sched is set; one default tenant under
-// Options.Batch).
+// TenantStats snapshots the batcher's per-tenant counters (nil in static
+// and gateway modes; one default tenant unless Options.Sched is set).
 func (s *Server) TenantStats() []sched.TenantStats {
 	if s.batcher == nil {
 		return nil
@@ -742,7 +750,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // queueDepth returns the server's pending-work signal: the batcher queue
 // when batching, the admitted-request count otherwise.
 func (s *Server) queueDepth() int {
-	if s.batcher != nil {
+	if s.opts.Batch != nil || s.opts.Sched != nil {
 		return s.batcher.Pending()
 	}
 	return int(s.pending.Load())
@@ -768,8 +776,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Deadline propagation: the client's absolute X-Deadline joins the
-	// request context so every stage below — admission, batcher flush,
-	// worker dispatch — can check the remaining budget. Work whose caller
+	// request context so every stage below — admission, the start of the
+	// request's batch — can check the remaining budget. Work whose caller
 	// has already given up is dropped with 504 instead of computed.
 	if dl, ok := httpapi.DeadlineHeader(r.Header); ok {
 		ctx, cancel := context.WithDeadline(r.Context(), dl)
@@ -851,34 +859,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	var recs []topk.Result
+	var err error
 	batch := 1
 	degraded := false
 	switch {
 	case s.gw != nil:
-		pr, err := s.gw.PredictPartial(r.Context(), req)
-		if err != nil {
-			var ce *shard.CoverageError
-			var se *httpapi.StatusError
-			status := http.StatusBadGateway
-			switch {
-			case errors.As(err, &ce):
-				// Below the coverage floor: the fleet cannot honour even the
-				// relaxed contract — shed like an unavailable backend.
-				status = http.StatusServiceUnavailable
-			case errors.As(err, &se):
-				status = se.Code
-			case errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusGatewayTimeout
-				s.deadlineExpired.Add(1)
+		var pr *shard.PartialResult
+		if pr, err = s.gw.PredictPartial(r.Context(), req); err == nil {
+			recs = pr.Recs
+			httpapi.SetCoverageHeader(w.Header(), pr.Coverage())
+			if pr.Partial() {
+				w.Header().Set(httpapi.HeaderDegraded, httpapi.DegradedPartial)
+				s.degraded.Add(1)
 			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		recs = pr.Recs
-		httpapi.SetCoverageHeader(w.Header(), pr.Coverage())
-		if pr.Partial() {
-			w.Header().Set(httpapi.HeaderDegraded, httpapi.DegradedPartial)
-			s.degraded.Add(1)
 		}
 	case rt.mdl == nil:
 		// Static mode: no inference at all.
@@ -888,64 +881,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		recs = rt.fallback
 		degraded = true
 		s.degraded.Add(1)
-	case s.batcher != nil:
-		out, err := s.batcher.Submit(r.Context(), batchItem{session: req.Items, sp: sp, enq: sp.Now(), tenant: tenant})
-		if err != nil {
-			// The batcher may still hold the span (cancelled mid-flight):
-			// abandon it rather than Discard it under a racing writer.
-			rt.errs.Add(1)
-			congested = s.batchError(w, err)
-			return
-		}
-		recs = out.recs
-		batch = out.size
 	default:
-		// A disconnected client must not consume a worker slot: select on
-		// the request context while waiting for one, and bail out
-		// 499-style (nginx's "client closed request") if the client hung
-		// up first.
-		poolWait := sp.Now()
-		waitStart := time.Now()
-		select {
-		case p := <-rt.pool:
-			sp.ObserveSince(trace.StageQueueWait, poolWait)
-			// Expired work must not reach the encoder: the budget check
-			// happens after the queue wait, right before dispatch.
-			if r.Context().Err() == context.DeadlineExceeded {
-				rt.pool <- p
-				s.deadlineExpired.Add(1)
-				rt.errs.Add(1)
-				congested = true
-				sp.Discard()
-				http.Error(w, "deadline exceeded in queue", http.StatusGatewayTimeout)
-				return
-			}
-			// CoDel on the worker-pool wait: a sustained standing queue in
-			// front of the workers sheds from the head here.
-			if s.opts.CoDel.ShouldDrop(time.Since(waitStart)) {
-				rt.pool <- p
-				s.codelDropped.Add(1)
-				rt.errs.Add(1)
-				congested = true
-				sp.Discard()
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "shed by queue discipline, retry later", http.StatusServiceUnavailable)
-				return
-			}
-			recs = p(req.Items, sp)
-			rt.pool <- p
-		case <-r.Context().Done():
-			sp.Discard()
-			if r.Context().Err() == context.DeadlineExceeded {
-				s.deadlineExpired.Add(1)
-				rt.errs.Add(1)
-				congested = true
-				http.Error(w, "deadline exceeded in queue", http.StatusGatewayTimeout)
-				return
-			}
-			w.WriteHeader(httpapi.StatusClientClosedRequest)
-			return
+		var it batchItem
+		it, err = s.batcher.Submit(r.Context(), batchItem{session: req.Items, rt: rt, sp: sp, enq: sp.Now(), tenant: tenant})
+		recs, batch = it.recs, it.size
+	}
+	if err != nil {
+		// The batcher has let go of the span by the time Submit returns.
+		sp.Discard()
+		if !errors.Is(err, context.Canceled) {
+			rt.errs.Add(1)
 		}
+		congested = s.batchError(w, err)
+		return
 	}
 	inference := time.Since(start)
 
@@ -979,10 +927,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp.Finish()
 }
 
-// batchError answers a request the batcher did not serve and reports
-// whether the outcome is a congestion signal for the adaptive limiter.
+// batchError answers a request the batcher or the gateway did not serve —
+// the server's one error→status mapping — and reports whether the outcome
+// is a congestion signal for the adaptive limiter.
 func (s *Server) batchError(w http.ResponseWriter, err error) (congested bool) {
-	status := http.StatusServiceUnavailable
+	status := http.StatusBadGateway
+	var ce *shard.CoverageError
+	var se *httpapi.StatusError
 	switch {
 	case errors.Is(err, sched.ErrShed):
 		// Tenant queue at its bound: the scheduler's per-tenant admission
@@ -991,18 +942,27 @@ func (s *Server) batchError(w http.ResponseWriter, err error) (congested bool) {
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, context.DeadlineExceeded):
-		// Covers both batching.ErrDeadlineExpired (dropped at flush) and
-		// the request context's own deadline firing first.
+		// Covers batching.ErrDeadlineExpired (dropped at flush), the
+		// request context's own deadline firing first, and a gateway
+		// scatter that ran out of budget.
 		status = http.StatusGatewayTimeout
 		s.deadlineExpired.Add(1)
 		congested = true
 	case errors.Is(err, context.Canceled):
-		status = http.StatusGatewayTimeout
-		congested = true
+		// The client hung up (nginx's "client closed request"): nobody
+		// reads the answer, and it says nothing about the server's load.
+		status = httpapi.StatusClientClosedRequest
 	case errors.Is(err, batching.ErrCoDelDropped):
+		status = http.StatusServiceUnavailable
 		s.codelDropped.Add(1)
 		congested = true
 		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, batching.ErrClosed), errors.As(err, &ce):
+		// Closed batcher, or a fleet below its coverage floor that cannot
+		// honour even the relaxed contract: shed like an unavailable backend.
+		status = http.StatusServiceUnavailable
+	case errors.As(err, &se):
+		status = se.Code
 	}
 	http.Error(w, err.Error(), status)
 	return congested

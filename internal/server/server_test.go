@@ -574,3 +574,38 @@ func TestJITWorkspacesNotShared(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestUnbatchedPredictAllocs is the allocation ratchet of the serving path:
+// one unbatched POST /predictions through Server.Handler, in process, on a
+// warm compiled plan. The bound is the count measured on the worker-pool
+// path this batch-of-one path replaced (41: request and recorder set-up,
+// JSON decode and encode, the model's answer); a batch-of-one hand-off
+// that allocates fails it.
+func TestUnbatchedPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m, err := model.New("gru4rec", model.Config{CatalogSize: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, Options{Workers: 1, JIT: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	body := []byte(`{"items":[1,2,3]}`)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, httpapi.PredictPath, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d", rec.Code)
+		}
+	}
+	serve() // compile the plan's workspace
+	const bound = 41
+	if got := testing.AllocsPerRun(200, serve); got > bound {
+		t.Fatalf("one unbatched prediction allocates %v times, bound %d", got, bound)
+	}
+}

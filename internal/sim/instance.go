@@ -543,7 +543,7 @@ func (in *Instance) startBatch() {
 	// Hold the device across the drop callbacks below: a callback that
 	// resubmits only enqueues.
 	in.busy = true
-	batch, expired := in.core.Assemble(now)
+	batch, expired := in.core.Assemble(now, nil, nil)
 	for _, r := range expired {
 		r.sp.Discard()
 		r.done(Outcome{Latency: now - r.arrival, Err: ErrDeadlineExpired})

@@ -36,9 +36,9 @@ type Stage int
 
 const (
 	// StageQueueWait is time spent waiting for an execution slot: the
-	// worker-pool wait on the unbatched path, and the head-of-line wait
-	// inside a flushed batch (requests execute sequentially) on the batched
-	// path.
+	// wait for a free executor on the unbatched path (a batch of one), and
+	// the head-of-line wait inside a flushed batch (requests execute
+	// sequentially) on the batched path.
 	StageQueueWait Stage = iota
 	// StageAdmission covers request decoding, validation and the admission
 	// decision (shed / degrade / serve).
