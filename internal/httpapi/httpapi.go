@@ -190,7 +190,7 @@ func ReadJSON(r io.Reader, v any) error {
 // SetDurationHeaders records server-side metrics on the response.
 func SetDurationHeaders(h http.Header, inference time.Duration, batch int) {
 	h.Set(HeaderInferenceDuration, inference.String())
-	h.Set(HeaderBatchSize, fmt.Sprintf("%d", batch))
+	h.Set(HeaderBatchSize, strconv.Itoa(batch))
 }
 
 // InferenceDuration parses the inference-duration header from a response

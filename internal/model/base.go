@@ -56,12 +56,13 @@ func (b *base) score(rep *tensor.Tensor) []topk.Result {
 	return topk.TopK(b.emb.Weight, rep, b.cfg.TopK)
 }
 
-// compiledScorer returns a scoring closure that keeps its scan scratch
-// across calls, so a compiled plan allocates only the list it returns.
-func (b *base) compiledScorer() func(rep *tensor.Tensor) []topk.Result {
+// compiledRecommend is the compiled plan of a CompiledEncoder: its encode
+// half, then the MIPS scan on scratch kept across calls, so the scan
+// allocates only the list it returns.
+func (b *base) compiledRecommend(encode func(session []int64) *tensor.Tensor) func(session []int64) []topk.Result {
 	var scan topk.Scanner
-	return func(rep *tensor.Tensor) []topk.Result {
-		return scan.TopK(b.emb.Weight, rep, b.cfg.TopK)
+	return func(session []int64) []topk.Result {
+		return scan.TopK(b.emb.Weight, encode(session), b.cfg.TopK)
 	}
 }
 

@@ -74,11 +74,11 @@ func (m *CORE) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 
 // CompiledRecommend implements JITCompilable.
 func (m *CORE) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
-	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
-	}
+	return m.compiledRecommend(m.CompiledEncode())
 }
+
+// CompiledEncode implements CompiledEncoder: the eager encoder.
+func (m *CORE) CompiledEncode() func(session []int64) *tensor.Tensor { return m.encode }
 
 // Cost implements Model: CORE's encoder is the cheapest of the ten — one
 // d→1 projection per item plus the weighted sum.

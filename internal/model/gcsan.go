@@ -96,11 +96,11 @@ func (m *GCSAN) encode(session []int64) *tensor.Tensor {
 // CompiledRecommend implements JITCompilable (host transfers remain, as in
 // the paper; they are modelled in Cost).
 func (m *GCSAN) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
-	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
-	}
+	return m.compiledRecommend(m.CompiledEncode())
 }
+
+// CompiledEncode implements CompiledEncoder: the eager encoder.
+func (m *GCSAN) CompiledEncode() func(session []int64) *tensor.Tensor { return m.encode }
 
 // Cost implements Model: GGNN propagation plus transformer layers, with
 // host transfers in the faithful variant.

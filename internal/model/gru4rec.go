@@ -63,27 +63,31 @@ func (m *GRU4Rec) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 	return m.proj.ForwardVec(states.Row(len(session) - 1))
 }
 
-// CompiledRecommend implements JITCompilable: the GRU and the projection
-// run with weights transposed once, and every per-step buffer is the plan's,
-// grown to the longest session seen.
+// CompiledRecommend implements JITCompilable.
 func (m *GRU4Rec) CompiledRecommend() func(session []int64) []topk.Result {
+	return m.compiledRecommend(m.CompiledEncode())
+}
+
+// CompiledEncode implements CompiledEncoder: the GRU and the projection run
+// with weights transposed once, and every per-step buffer — the returned
+// representation too — is the plan's, grown to the longest session seen.
+func (m *GRU4Rec) CompiledEncode() func(session []int64) *tensor.Tensor {
 	d := m.cfg.Dim
 	gru, proj := m.gru.Plan(), m.proj.PlanVec()
 	var x, states []float32
 	rep := tensor.New(d)
-	scorer := m.compiledScorer()
-	return func(session []int64) []topk.Result {
+	return func(session []int64) *tensor.Tensor {
 		session = truncate(session, m.cfg.MaxSessionLen)
 		n := len(session)
 		if n == 0 {
 			rep.Zero()
-			return scorer(rep)
+			return rep
 		}
 		x, states = tensor.Grow(x, n*d), tensor.Grow(states, n*d)
 		m.emb.LookupInto(x, session)
 		gru.Forward(states, x)
 		proj.Into(rep.Data(), states[(n-1)*d:])
-		return scorer(rep)
+		return rep
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 
+	"etude/internal/tensor"
 	"etude/internal/topk"
 )
 
@@ -159,6 +160,23 @@ type JITCompilable interface {
 	// Recommend. The closure may reuse internal buffers and must not be
 	// called concurrently.
 	CompiledRecommend() func(session []int64) []topk.Result
+}
+
+// CompiledEncoder is implemented by the compilable models whose plan ends
+// in the exact MIPS scan — all but RepeatNet, which scores through
+// SelectFromScores. Their CompiledRecommend is CompiledEncode followed by
+// topk.TopK over ItemEmbeddings, so a caller holding several sessions can
+// encode each and read the catalog once for all of them
+// (topk.Scanner.TopKBatch) with bit-identical results.
+type CompiledEncoder interface {
+	JITCompilable
+	// CompiledEncode returns the encode half of CompiledRecommend: the
+	// session representation its plan scores. The returned tensor may be
+	// the plan's own buffer, valid until the next call; the closure must
+	// not be called concurrently.
+	CompiledEncode() func(session []int64) *tensor.Tensor
+	// ItemEmbeddings returns the [C, d] catalog the plan scans.
+	ItemEmbeddings() *tensor.Tensor
 }
 
 // Builder constructs a model from a config.

@@ -195,3 +195,36 @@ func FuzzCompiledMatchesEager(f *testing.F) {
 		}
 	})
 }
+
+// TestCompiledEncodeMatchesEncode: every compilable model but RepeatNet
+// exposes the encode half of its plan, and that half returns Encode's
+// representation bit for bit through one reused plan, so scoring it with
+// topk.TopK — alone or in a topk.Scanner.TopKBatch — answers as Recommend.
+func TestCompiledEncodeMatchesEncode(t *testing.T) {
+	sessions := [][]int64{{3, 17, 42, 9}, {}, {5}, longSession(60, 300), {1, 2, 1, 3, 2, 1}}
+	for _, name := range compilableNames(t) {
+		m, err := New(name, Config{CatalogSize: 300, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce, ok := m.(CompiledEncoder)
+		if ok == (name == "repeatnet") {
+			t.Fatalf("%s: CompiledEncoder is %v, want it on every compilable model but repeatnet", name, ok)
+		}
+		if !ok {
+			continue
+		}
+		encode := ce.CompiledEncode()
+		for _, session := range sessions {
+			got, want := encode(session), m.(Encoder).Encode(session)
+			for i, v := range want.Data() {
+				if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+					t.Fatalf("%s, %d clicks: component %d is %08x, want %08x", name, len(session), i, math.Float32bits(got.Data()[i]), math.Float32bits(v))
+				}
+			}
+			if diff := sameResults(topk.TopK(ce.ItemEmbeddings(), got, m.Config().TopK), m.Recommend(session)); diff != "" {
+				t.Fatalf("%s, %d clicks: encode+scan and Recommend differ: %s", name, len(session), diff)
+			}
+		}
+	}
+}

@@ -93,21 +93,25 @@ func (m *SASRec) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 	return x.Row(len(session) - 1).Clone()
 }
 
-// CompiledRecommend implements JITCompilable: the forward pass runs out of
+// CompiledRecommend implements JITCompilable.
+func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
+	return m.compiledRecommend(m.CompiledEncode())
+}
+
+// CompiledEncode implements CompiledEncoder: the forward pass runs out of
 // the plan's blockWorkspace, the last block computes the last position only
 // (forwardLastInto), and the representation is read in place from the
 // residual stream's last row. Eager encode runs every block over every
 // position and is the oracle the plan is tested against.
-func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
+func (m *SASRec) CompiledEncode() func(session []int64) *tensor.Tensor {
 	d, zero := m.cfg.Dim, m.zeroRep()
 	var ws blockWorkspace
 	var rep tensor.Tensor
-	return func(session []int64) []topk.Result {
+	return func(session []int64) *tensor.Tensor {
 		session = truncate(session, m.cfg.MaxSessionLen)
 		n := len(session)
 		if n == 0 {
-			return scorer(zero)
+			return zero
 		}
 		x := ws.bind(n, d)
 		m.emb.LookupInto(x.Data(), session)
@@ -118,7 +122,7 @@ func (m *SASRec) CompiledRecommend() func(session []int64) []topk.Result {
 		}
 		m.blocks[last].forwardLastInto(&ws, x, true)
 		rep.Bind(x.Data()[(n-1)*d:], d)
-		return scorer(&rep)
+		return &rep
 	}
 }
 

@@ -113,11 +113,11 @@ func (m *SINE) encodeFrom(session []int64, x *tensor.Tensor) *tensor.Tensor {
 
 // CompiledRecommend implements JITCompilable.
 func (m *SINE) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
-	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
-	}
+	return m.compiledRecommend(m.CompiledEncode())
 }
+
+// CompiledEncode implements CompiledEncoder: the eager encoder.
+func (m *SINE) CompiledEncode() func(session []int64) *tensor.Tensor { return m.encode }
 
 // Cost implements Model: attention summary (4·d² per item), prototype
 // scoring (2·numConcepts·d) and per-active-concept assignment (2·L·d each).

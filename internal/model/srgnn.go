@@ -88,11 +88,11 @@ func (m *SRGNN) encode(session []int64) *tensor.Tensor {
 // JIT-optimised SR-GNN still suffers from its host transfers; the transfers
 // are modelled in Cost, not here.
 func (m *SRGNN) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
-	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
-	}
+	return m.compiledRecommend(m.CompiledEncode())
 }
+
+// CompiledEncode implements CompiledEncoder: the eager encoder.
+func (m *SRGNN) CompiledEncode() func(session []int64) *tensor.Tensor { return m.encode }
 
 // Cost implements Model: GGNN propagation is ~(8·d² messages + 24·d² gate)
 // per node per step; the faithful variant adds four host↔device round trips

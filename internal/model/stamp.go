@@ -98,11 +98,11 @@ func (m *STAMP) encodeFrom(_ []int64, x *tensor.Tensor) *tensor.Tensor {
 
 // CompiledRecommend implements JITCompilable.
 func (m *STAMP) CompiledRecommend() func(session []int64) []topk.Result {
-	scorer := m.compiledScorer()
-	return func(session []int64) []topk.Result {
-		return scorer(m.encode(session))
-	}
+	return m.compiledRecommend(m.CompiledEncode())
 }
+
+// CompiledEncode implements CompiledEncoder: the eager encoder.
+func (m *STAMP) CompiledEncode() func(session []int64) *tensor.Tensor { return m.encode }
 
 // Cost implements Model: attention transforms are 2·d² per item plus two
 // fixed 2·d² MLPs.

@@ -340,6 +340,7 @@ func TestLoadFromReleasesRefusesCorruptCurrent(t *testing.T) {
 type served struct {
 	code    int
 	version string
+	batch   string
 	body    httpapi.PredictResponse
 }
 
@@ -351,7 +352,7 @@ func serveAsync(s *Server, session []int64) <-chan served {
 		body, _ := json.Marshal(httpapi.PredictRequest{Items: session})
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, httpapi.PredictPath, bytes.NewReader(body)))
-		res := served{code: rec.Code, version: rec.Header().Get(httpapi.HeaderModelVersion)}
+		res := served{code: rec.Code, version: rec.Header().Get(httpapi.HeaderModelVersion), batch: rec.Header().Get(httpapi.HeaderBatchSize)}
 		_ = json.Unmarshal(rec.Body.Bytes(), &res.body)
 		out <- res
 	}()
@@ -403,27 +404,45 @@ func versionMixStore(t *testing.T, session []int64) (store *deploy.Store, v2 int
 	return store, v2
 }
 
-// TestBatchedSwapBeforeFlushKeepsAdmissionVersion: a request admitted on v1
-// that waits in the batch buffer while v2 lands is computed by v1, the
-// version its X-Model-Version header names.
+// TestBatchedSwapBeforeFlushKeepsAdmissionVersion: requests admitted on v1
+// that wait in the batch buffer while v2 lands are computed by v1, the
+// version their X-Model-Version header names, even when they share the
+// batch with requests admitted on v2 after the swap. The batch of four is
+// two same-runtime runs of two; with JIT on each run is encoded and scanned
+// as one batch, which must read its own runtime's plans and catalog.
 func TestBatchedSwapBeforeFlushKeepsAdmissionVersion(t *testing.T) {
-	session := []int64{1, 2, 3}
-	store, v2 := versionMixStore(t, session)
-	s, err := LoadFromReleases(store, 0, 0, Options{Workers: 1, Batch: &batching.Config{MaxBatch: 2, FlushEvery: time.Second}})
-	if err != nil {
-		t.Fatal(err)
+	sessions := [][]int64{{1, 2, 3}, {4, 5}}
+	for _, jit := range []bool{false, true} {
+		store, v2 := versionMixStore(t, sessions[0])
+		s, err := LoadFromReleases(store, 0, 0, Options{Workers: 1, JIT: jit, Batch: &batching.Config{MaxBatch: 4, FlushEvery: time.Minute}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		v1 := s.ModelVersion()
+		var res []<-chan served
+		for _, session := range sessions {
+			res = append(res, serveAsync(s, session))
+			waitFor(t, func() bool { return s.batcher.Pending() == len(res) })
+		}
+		if err := s.ApplyRelease(v2); err != nil {
+			t.Fatal(err)
+		}
+		if s.batcher.Pending() != 2 {
+			t.Fatal("the flush fired before the swap landed")
+		}
+		for _, session := range sessions {
+			res = append(res, serveAsync(s, session))
+		}
+		for i, ch := range res {
+			r := <-ch
+			checkVersionConsistent(t, store, sessions[i%2], r)
+			want := strconv.Itoa([]int{v1, v2}[i/2])
+			if r.version != want || r.batch != "4" {
+				t.Fatalf("JIT %v, request %d: served by version %s in a batch of %s, want version %s in a batch of 4", jit, i, r.version, r.batch, want)
+			}
+		}
 	}
-	defer s.Close()
-
-	res := serveAsync(s, session)
-	waitFor(t, func() bool { return s.batcher.Pending() == 1 })
-	if err := s.ApplyRelease(v2); err != nil {
-		t.Fatal(err)
-	}
-	if s.batcher.Pending() != 1 {
-		t.Fatal("the flush fired before the swap landed")
-	}
-	checkVersionConsistent(t, store, session, <-res)
 }
 
 // TestUnbatchedSwapWhileQueuedKeepsAdmissionVersion: the batch-of-one

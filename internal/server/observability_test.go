@@ -398,7 +398,7 @@ func TestTracingDisabledOverheadGuard(t *testing.T) {
 
 	for i := 0; i < 20; i++ { // warm caches on both paths
 		m.Recommend(session)
-		p(session, nil)
+		p.recommend(session, nil)
 	}
 	// A/B wall-clock comparisons at ~300µs per call are dominated by
 	// scheduler and frequency noise, so use a robust paired design: GC off,
@@ -425,9 +425,9 @@ func TestTracingDisabledOverheadGuard(t *testing.T) {
 		var base, instrumented time.Duration
 		if round%2 == 0 {
 			base = run(func() { m.Recommend(session) })
-			instrumented = run(func() { p(session, nil) })
+			instrumented = run(func() { p.recommend(session, nil) })
 		} else {
-			instrumented = run(func() { p(session, nil) })
+			instrumented = run(func() { p.recommend(session, nil) })
 			base = run(func() { m.Recommend(session) })
 		}
 		ratios = append(ratios, float64(instrumented)/float64(base))
@@ -450,7 +450,7 @@ func BenchmarkPredictorTracingOff(b *testing.B) {
 	session := []int64{3, 17, 42, 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p(session, nil)
+		p.recommend(session, nil)
 	}
 }
 
@@ -464,7 +464,7 @@ func BenchmarkPredictorTracingOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start("bench")
-		p(session, sp)
+		p.recommend(session, sp)
 		sp.Finish()
 	}
 }

@@ -8,7 +8,9 @@
 // batcher (internal/batching) with Options.Workers executors. Unbatched
 // serving, the paper's CPU configuration, is the batch of one: a request
 // that finds an executor free runs at once on its own goroutine.
-// Options.Batch and Options.Sched only change how batches form.
+// Options.Batch and Options.Sched only change how batches form. A batch of
+// two or more served by compiled plans reads the catalog once: each
+// session is encoded on its own and one batch scan scores them all.
 //
 // The design goal is identical to the paper's: near-zero serving overhead.
 // Requests are decoded, given an executor, executed in-process and encoded —
@@ -48,6 +50,7 @@ import (
 	"etude/internal/overload"
 	"etude/internal/sched"
 	"etude/internal/shard"
+	"etude/internal/tensor"
 	"etude/internal/topk"
 	"etude/internal/trace"
 )
@@ -141,9 +144,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// predictor is one executor's inference function. The span is nil when
-// tracing is disabled; implementations must treat that as the fast path.
-type predictor func(session []int64, sp *trace.Span) []topk.Result
+// predictor is one executor's inference state, taken from its runtime's
+// pool for one same-runtime run of a batch. recommend serves one session;
+// its span is nil when tracing is disabled, and implementations must treat
+// that as the fast path. When the runtime serves compiled plans that end in
+// the catalog scan (model.CompiledEncoder), encode is the plan's encode
+// half and the rest is the scratch of the batch scan: the reused [B,d]
+// representations, the scanner and its result lists.
+type predictor struct {
+	recommend func(session []int64, sp *trace.Span) []topk.Result
+
+	encode  func(session []int64) *tensor.Tensor
+	catalog *tensor.Tensor
+	k       int
+	reps    []float32
+	repsT   tensor.Tensor
+	scan    topk.Scanner
+	lists   [][]topk.Result
+}
 
 // batchItem is one request travelling through the batcher: the session, the
 // runtime pinned at admission (the batch runs it on that runtime's
@@ -171,7 +189,7 @@ type batchItem struct {
 // see the new one — zero dropped requests and no lock on the serving path.
 type modelRuntime struct {
 	mdl       model.Model // nil in static and gateway modes
-	pool      chan predictor
+	pool      chan *predictor
 	fallback  []topk.Result
 	shardPool *shard.Pool
 	shardEnc  model.Encoder
@@ -316,7 +334,7 @@ func buildRuntime(m model.Model, opts Options, version int) (*modelRuntime, erro
 	}
 	rt := &modelRuntime{
 		mdl:     m,
-		pool:    make(chan predictor, opts.Workers),
+		pool:    make(chan *predictor, opts.Workers),
 		version: version,
 		lat:     metrics.NewHistogram(),
 	}
@@ -469,14 +487,14 @@ func (s *Server) ApplyRelease(version int) error {
 	return nil
 }
 
-func (rt *modelRuntime) newPredictor(jit bool) predictor {
+func (rt *modelRuntime) newPredictor(jit bool) *predictor {
 	if rt.shardPool != nil {
 		// Sharded retrieval: encode on the worker, scatter the representation
 		// across the pool's shard goroutines, merge the exact global top-k.
 		// The pool executes eagerly (compiled plans fuse encoder and scoring,
 		// which a scatter cannot split), so JIT is ignored here.
 		enc, pool, k := rt.shardEnc, rt.shardPool, rt.shardEnc.Config().TopK
-		return func(session []int64, sp *trace.Span) []topk.Result {
+		return &predictor{recommend: func(session []int64, sp *trace.Span) []topk.Result {
 			if sp == nil {
 				return pool.TopK(enc.Encode(session), k)
 			}
@@ -484,13 +502,13 @@ func (rt *modelRuntime) newPredictor(jit bool) predictor {
 			rep := enc.Encode(session)
 			sp.ObserveSince(trace.StageEncoderForward, t0)
 			return pool.TopKSpan(rep, k, sp)
-		}
+		}}
 	}
 	if jit {
 		if jc, ok := rt.mdl.(model.JITCompilable); ok {
 			rt.jitActive = true
 			compiled := jc.CompiledRecommend()
-			return func(session []int64, sp *trace.Span) []topk.Result {
+			p := &predictor{recommend: func(session []int64, sp *trace.Span) []topk.Result {
 				if sp == nil {
 					return compiled(session)
 				}
@@ -502,11 +520,15 @@ func (rt *modelRuntime) newPredictor(jit bool) predictor {
 				out := compiled(session)
 				sp.ObserveSince(trace.StageEncoderForward, t0)
 				return out
+			}}
+			if ce, ok := jc.(model.CompiledEncoder); ok {
+				p.encode, p.catalog, p.k = ce.CompiledEncode(), ce.ItemEmbeddings(), rt.mdl.Config().TopK
 			}
+			return p
 		}
 	}
 	m := rt.mdl
-	return func(session []int64, sp *trace.Span) []topk.Result {
+	return &predictor{recommend: func(session []int64, sp *trace.Span) []topk.Result {
 		if sp == nil {
 			return m.Recommend(session)
 		}
@@ -515,7 +537,35 @@ func (rt *modelRuntime) newPredictor(jit bool) predictor {
 		sp.Observe(trace.StageEncoderForward, tm.Encoder)
 		sp.Observe(trace.StageMIPSTopK, tm.TopK)
 		return out
+	}}
+}
+
+// scanBatch serves a same-runtime run of two or more items on a predictor
+// with an encode half: each session is encoded into the reused [B,d]
+// representations and one batch scan reads the catalog for all of them.
+// topk.Scanner.TopKBatch answers each query bit for bit as TopK does, so
+// every list equals the one the item's compiled plan would return alone.
+// Each span is charged its own encode as encoder-forward and the whole
+// batch scan as mips-topk.
+func (s *Server) scanBatch(p *predictor, run []batchItem, start time.Duration, size int) {
+	d := p.catalog.Dim(1)
+	p.reps = tensor.Grow(p.reps, len(run)*d)
+	for j := range run {
+		it := &run[j]
+		s.beginItem(it, start, size)
+		t0 := it.sp.Now()
+		copy(p.reps[j*d:(j+1)*d], p.encode(it.session).Data())
+		it.sp.ObserveSince(trace.StageEncoderForward, t0)
 	}
+	p.repsT.Bind(p.reps[:len(run)*d], len(run), d)
+	t0 := s.tracer.Now()
+	p.lists = p.scan.TopKBatch(p.lists[:0], p.catalog, &p.repsT, p.k)
+	scan := s.tracer.Now() - t0
+	for j := range run {
+		run[j].recs, run[j].size = p.lists[j], size
+		run[j].sp.Observe(trace.StageMIPSTopK, scan)
+	}
+	clear(p.lists)
 }
 
 // Model returns the deployed model (nil in static mode).
@@ -540,37 +590,50 @@ func (s *Server) VerifyFailures() int64 { return s.verifyFailures.Load() }
 // was set).
 func (s *Server) Gateway() *shard.Gateway { return s.gw }
 
-// runBatch executes a batch on one executor, item by item — the CPU
-// analogue of one fused accelerator kernel sequence — and answers in place.
-// Each item runs on a predictor of the runtime pinned at its admission, so
-// a hot swap between admission and execution cannot mix versions, and a
+// runBatch executes a batch on one executor and answers in place. The
+// batch is cut into runs of consecutive items pinned to the same runtime at
+// admission, and each run is served on a predictor of that runtime, so a
+// hot swap between admission and execution cannot mix versions, and a
 // predictor goes back to the pool it came from, which keeps a retired
-// runtime's pool intact while it drains. Per item it attributes the
-// enqueue→start wait (waitStage) and queue-wait (head-of-line inside the
-// batch) before the model stages.
+// runtime's pool intact while it drains. A run of two or more items whose
+// predictor has an encode half is encoded item by item and scanned once
+// (scanBatch) — the CPU analogue of one batched accelerator kernel; any
+// other run, a batch of one included, runs item by item through recommend.
+// Per item it attributes the enqueue→start wait (waitStage) and queue-wait
+// (head-of-line inside the batch) before the model stages.
 func (s *Server) runBatch(items []batchItem) []batchItem {
 	s.tracer.ObserveBatchFlush(len(items))
 	start := s.tracer.Now()
-	var rt *modelRuntime
-	var p predictor
-	for i := range items {
-		it := &items[i]
-		if it.rt != rt {
-			if rt != nil {
-				rt.pool <- p
+	for lo := 0; lo < len(items); {
+		rt, hi := items[lo].rt, lo+1
+		for hi < len(items) && items[hi].rt == rt {
+			hi++
+		}
+		p := <-rt.pool
+		if run := items[lo:hi]; len(run) > 1 && p.encode != nil {
+			s.scanBatch(p, run, start, len(items))
+		} else {
+			for i := range run {
+				it := &run[i]
+				s.beginItem(it, start, len(items))
+				it.recs, it.size = p.recommend(it.session, it.sp), len(items)
 			}
-			rt = it.rt
-			p = <-rt.pool
 		}
-		if it.sp != nil {
-			it.sp.Observe(s.waitStage, start-it.enq)
-			it.sp.Observe(trace.StageQueueWait, it.sp.Now()-start)
-			it.sp.SetBatchSize(len(items))
-		}
-		it.recs, it.size = p(it.session, it.sp), len(items)
+		rt.pool <- p
+		lo = hi
 	}
-	rt.pool <- p
 	return items
+}
+
+// beginItem charges an item's span, as its model work starts, the
+// enqueue→start wait of its batch (waitStage) and its head-of-line wait
+// inside the batch (queue-wait).
+func (s *Server) beginItem(it *batchItem, start time.Duration, size int) {
+	if it.sp != nil {
+		it.sp.Observe(s.waitStage, start-it.enq)
+		it.sp.Observe(trace.StageQueueWait, it.sp.Now()-start)
+		it.sp.SetBatchSize(size)
+	}
 }
 
 // TenantStats snapshots the batcher's per-tenant counters (nil in static

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -313,33 +314,46 @@ func ExampleServer() {
 	// Output: 3 recommendations
 }
 
-// TestBatchedMatchesUnbatched: request batching must not change results.
+// TestBatchedMatchesUnbatched is the batched≡single oracle: for every
+// registered architecture, with JIT off and on, B concurrent requests form
+// one batch of B (MaxBatch = B and a flush far longer than they take to
+// arrive), for B from 1 to 8, and every answer equals eager Recommend of its
+// own session in items and score bits.
 func TestBatchedMatchesUnbatched(t *testing.T) {
-	m := testModel(t)
-	plain, err := New(m, Options{Workers: 1, JIT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	cfg := batching.Config{MaxBatch: 8, FlushEvery: time.Millisecond}
-	batched, err := New(m, Options{Workers: 1, JIT: true, Batch: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-
-	tsP := httptest.NewServer(plain.Handler())
-	defer tsP.Close()
-	tsB := httptest.NewServer(batched.Handler())
-	defer tsB.Close()
-
-	for _, session := range [][]int64{{1}, {5, 9}, {100, 3, 100}} {
-		req := httpapi.PredictRequest{Items: session}
-		_, a := predict(t, tsP, req)
-		_, b := predict(t, tsB, req)
-		for i := range a.Items {
-			if a.Items[i] != b.Items[i] {
-				t.Fatalf("session %v pos %d: plain %d != batched %d", session, i, a.Items[i], b.Items[i])
+	sessions := [][]int64{{1}, {5, 9}, {100, 3, 100}, {}, {7, 7, 7, 7}, {199, 0}, {3, 17, 42, 9, 11}, {42}}
+	for _, name := range model.Names() {
+		m, err := model.New(name, model.Config{CatalogSize: 200, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jit := range []bool{false, true} {
+			for b := 1; b <= len(sessions); b++ {
+				t.Run(fmt.Sprintf("%s/JIT=%v/B=%d", name, jit, b), func(t *testing.T) {
+					s, err := New(m, Options{Workers: 1, JIT: jit, Batch: &batching.Config{MaxBatch: b, FlushEvery: time.Minute}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					var res []<-chan served
+					for _, session := range sessions[:b] {
+						res = append(res, serveAsync(s, session))
+					}
+					for i, ch := range res {
+						r := <-ch
+						if r.code != http.StatusOK || r.batch != strconv.Itoa(b) {
+							t.Fatalf("request %d: status %d in a batch of %s, want 200 in a batch of %d", i, r.code, r.batch, b)
+						}
+						want := m.Recommend(sessions[i])
+						if len(r.body.Items) != len(want) {
+							t.Fatalf("session %v: %d items, want %d", sessions[i], len(r.body.Items), len(want))
+						}
+						for k, w := range want {
+							if r.body.Items[k] != w.Item || math.Float32bits(r.body.Scores[k]) != math.Float32bits(w.Score) {
+								t.Fatalf("session %v rank %d: served %d:%v, eager %d:%v", sessions[i], k, r.body.Items[k], r.body.Scores[k], w.Item, w.Score)
+							}
+						}
+					}
+				})
 			}
 		}
 	}

@@ -8,51 +8,103 @@ import (
 	"etude/internal/tensor"
 )
 
-// blockRows is how many catalog rows are scored before their scores go
-// through the heap: a 4 KB buffer that stays in L1 while the rows stream
-// past, in place of a C-length score vector written to memory and read back.
+// blockRows is how many catalog rows a one-query scan scores before their
+// scores go through the heap: a 4 KB buffer that stays in L1 while the rows
+// stream past, in place of a C-length score vector written to memory and
+// read back.
 const blockRows = 1024
 
-// splitBytes is the least catalog memory each core is given before TopK
-// spreads a scan over several, so a catalog splits from 2×splitBytes up.
-// Measured on the 2-vCPU benchmark host with BenchmarkTopKSplit (d = 32,
-// k = 21, catalog warm, two ranges against one, one caller, two runs):
-// 1 MB in all takes 43-54 µs against 27-38 µs — starting and waking the
-// second goroutine costs 30-50 µs here — 2 MB ties (92-102 µs against
-// 90-93), 4 MB runs in 0.85 of the time, 8 MB in 0.7, 16 MB in 0.6,
-// 32 MB in 0.6 and 128 MB in 0.5. With two concurrent callers, a saturated
-// server, two ranges cost the same as one at every size (128 MB: 14.3-15.4
-// ms against 15.2-16.1 ms per call). The constant sits at four times the
-// tie, where the scan is near a millisecond and the gain no longer depends
-// on how fast this host wakes a core; below it requests run side by side
-// instead.
-const splitBytes = 8 << 20
+// subBlockRows is how many rows a scan of several queries scores against
+// every query before it moves on: 18 KB of rows at d = 18, which the second
+// and later queries read from L1.
+const subBlockRows = 256
 
-// rangeScan is the scratch of one fused scan over a contiguous row range.
+// splitBytes is the least scoring work each core is given before a scan is
+// spread over several: a scan of B queries over a [C,d] catalog scores
+// B·C·d·4 bytes, and it is cut into one range per splitBytes of that, so it
+// splits from 2×splitBytes up. TopK is the case B = 1. Measured on the
+// 2-vCPU benchmark host with BenchmarkTopKSplit (DESIGN.md has the table):
+// starting and waking the second goroutine costs 30-50 µs here, and at two
+// queries two ranges lose up to 4 MB of work (1.2 of one range's time) and
+// win from 8 MB (0.85; the 7.2 MB catalog of batch_100k in 0.6). With two
+// concurrent callers, a saturated server, two ranges cost about the same as
+// one.
+const splitBytes = 4 << 20
+
+// rangeScan is the scratch of one fused scan over a contiguous row range:
+// a heap per query, and the range's lists when it is one of several. A
+// range past the first runs on a goroutine of its own: its arguments are
+// set in the fields below and helper, made once with the range, scans with
+// them, so starting the goroutine allocates nothing.
 type rangeScan struct {
 	block [blockRows]float32
-	heap  minHeap
-	part  []Result // the range's list when it is one of several; reused
+	heaps []minHeap
+	parts [][]Result
+
+	items, queries []float32
+	b, k, from, to int
+	done           *sync.WaitGroup
+	helper         func()
 }
 
-// scan returns the top-k of rows [from, to) of the row-major matrix items,
-// best first, under global row ids: each block is scored with the row
-// kernel and streamed through the heap while it is still in L1. The list is
-// written to out when that has room for it, to a new slice otherwise.
-func (r *rangeScan) scan(items, q []float32, k, from, to int, out []Result) []Result {
-	d := len(q)
-	r.heap.reset(min(k, to-from))
-	for lo := from; lo < to; lo += blockRows {
-		hi := min(lo+blockRows, to)
-		scores := r.block[:hi-lo]
-		tensor.DotRows(scores, items[lo*d:hi*d], q)
-		r.heap.offerRun(int64(lo), scores)
+func newRangeScan() *rangeScan {
+	r := new(rangeScan)
+	r.helper = func() {
+		defer r.done.Done()
+		r.scan(r.items, r.queries, r.b, r.k, r.from, r.to)
+		r.drain(r.b)
 	}
-	n := len(r.heap.items)
-	if cap(out) < n {
-		out = make([]Result, n)
+	return r
+}
+
+// scan offers rows [from, to) of the row-major matrix items to the first b
+// heaps under global row ids, heap j scoring against query j of the
+// row-major [b,d] queries. Each block is scored with the row kernel and
+// streamed through the heaps while it is still in L1; with several queries
+// the blocks are sub-blocks, so their rows stay in L1 from the first query
+// to the last.
+func (r *rangeScan) scan(items, queries []float32, b, k, from, to int) {
+	d := len(queries) / b
+	for len(r.heaps) < b {
+		r.heaps = append(r.heaps, minHeap{})
 	}
-	return r.heap.drainDescending(out[:n])
+	heaps := r.heaps[:b]
+	for j := range heaps {
+		heaps[j].reset(min(k, to-from))
+	}
+	step := blockRows
+	if b > 1 {
+		step = subBlockRows
+	}
+	for lo := from; lo < to; lo += step {
+		hi := min(lo+step, to)
+		rows, scores := items[lo*d:hi*d], r.block[:hi-lo]
+		for j := range heaps {
+			tensor.DotRows(scores, rows, queries[j*d:(j+1)*d])
+			heaps[j].offerRun(int64(lo), scores)
+		}
+	}
+}
+
+// list empties heap j into a new list, best first.
+func (r *rangeScan) list(j int) []Result {
+	h := &r.heaps[j]
+	return h.drainDescending(make([]Result, len(h.items)))
+}
+
+// drain empties the first b heaps into the range's reused lists.
+func (r *rangeScan) drain(b int) {
+	for len(r.parts) < b {
+		r.parts = append(r.parts, nil)
+	}
+	for j := range b {
+		h := &r.heaps[j]
+		n := len(h.items)
+		if cap(r.parts[j]) < n {
+			r.parts[j] = make([]Result, n)
+		}
+		r.parts[j] = h.drainDescending(r.parts[j][:n])
+	}
 }
 
 // checkScan panics unless rows [from, to) of items can be scored against
@@ -82,7 +134,8 @@ func Scan(items, query *tensor.Tensor, k, from, to int) []Result {
 		return nil
 	}
 	var r rangeScan
-	return r.scan(items.Data(), query.Data(), k, from, to, nil)
+	r.scan(items.Data(), query.Data(), 1, k, from, to)
+	return r.list(0)
 }
 
 // TopK scores all rows of items (an [C,d] embedding matrix) against query (a
@@ -94,58 +147,98 @@ func TopK(items, query *tensor.Tensor, k int) []Result {
 	return s.TopK(items, query, k)
 }
 
-// Scanner is the reusable scratch of TopK — block buffers, heaps, per-range
-// lists and the merge state — so that a served request allocates only the
-// list it returns. The zero value is ready; a Scanner serves one call at a
-// time.
+// Scanner is the reusable scratch of TopK and TopKBatch — block buffers,
+// heaps, per-range lists and the merge state — so that a served request
+// allocates only the lists it returns. The zero value is ready; a Scanner
+// serves one call at a time.
 type Scanner struct {
 	ranges []*rangeScan
 	parts  [][]Result
 	merge  merger
 	wg     sync.WaitGroup
+	query  tensor.Tensor // TopK's query as a [1,d] batch
+	lists  [][]Result    // TopK's one list
 
 	// forceRanges overrides the range count; tests set it.
 	forceRanges int
 }
 
-// TopK is the package-level TopK on this scratch. A catalog of at least
-// two cores' worth of splitBytes is cut into contiguous row ranges, one per
-// core: range 0 is scanned on the calling goroutine, the others on
-// goroutines started and joined within the call, and the per-range lists
-// are merged exactly as MergePartial does.
+// TopK is the package-level TopK on this scratch: TopKBatch for a batch of
+// one query.
 func (s *Scanner) TopK(items, query *tensor.Tensor, k int) []Result {
-	c := checkScan(items, query, 0, items.Dim(0))
-	if k <= 0 {
-		return nil
+	checkScan(items, query, 0, items.Dim(0))
+	s.query.Bind(query.Data(), 1, query.Len())
+	s.lists = s.TopKBatch(s.lists[:0], items, &s.query, k)
+	out := s.lists[0]
+	s.lists[0] = nil
+	return out
+}
+
+// TopKBatch is TopK for a batch of queries (a [B,d] matrix): it appends to
+// dst one list per query, list j the k rows of items with the highest inner
+// product with query j, and returns the extended slice. The catalog is read
+// once for the batch, not once per query. A catalog of at least two cores'
+// worth of the batch's work, B·C·d·4 bytes, is cut by the split rule into
+// contiguous row ranges: range 0 is scanned on the calling goroutine, the
+// others on goroutines started and joined within the call, and each
+// query's per-range lists are merged exactly as MergePartial does. List j
+// is bit for bit what TopK returns for query j alone: neither the block
+// size nor the range count, which both depend on B, changes a score or the
+// order (DESIGN.md, "One read per batch"). A warm Scanner allocates only
+// the B lists it appends.
+func (s *Scanner) TopKBatch(dst [][]Result, items, queries *tensor.Tensor, k int) [][]Result {
+	if items.Dims() != 2 || queries.Dims() != 2 || items.Dim(1) != queries.Dim(1) {
+		panic(fmt.Sprintf("topk: cannot score items %v against queries %v", items.Shape(), queries.Shape()))
 	}
-	n := s.forceRanges
-	if n == 0 {
-		if n = c * query.Len() * 4 / splitBytes; n > 1 {
-			n = min(n, runtime.GOMAXPROCS(0))
+	c, b := items.Dim(0), queries.Dim(0)
+	if k <= 0 || b == 0 {
+		for range b {
+			dst = append(dst, nil)
 		}
+		return dst
 	}
-	n = max(1, min(n, c))
+	n := s.split(b, c, queries.Dim(1))
 	for len(s.ranges) < n {
-		s.ranges = append(s.ranges, new(rangeScan))
+		s.ranges = append(s.ranges, newRangeScan())
 	}
-	data, q := items.Data(), query.Data()
+	data, q := items.Data(), queries.Data()
 	if n == 1 {
-		return s.ranges[0].scan(data, q, k, 0, c, nil)
+		r := s.ranges[0]
+		r.scan(data, q, b, k, 0, c)
+		for j := range b {
+			dst = append(dst, r.list(j))
+		}
+		return dst
 	}
 	s.wg.Add(n - 1)
 	for i := 1; i < n; i++ {
-		r, from, to := s.ranges[i], c*i/n, c*(i+1)/n
-		go func() {
-			defer s.wg.Done()
-			r.part = r.scan(data, q, k, from, to, r.part)
-		}()
+		r := s.ranges[i]
+		r.items, r.queries, r.b, r.k, r.from, r.to, r.done = data, q, b, k, c*i/n, c*(i+1)/n, &s.wg
+		go r.helper()
 	}
 	r := s.ranges[0]
-	r.part = r.scan(data, q, k, 0, c/n, r.part)
+	r.scan(data, q, b, k, 0, c/n)
+	r.drain(b)
 	s.wg.Wait()
-	s.parts = s.parts[:0]
-	for _, r := range s.ranges[:n] {
-		s.parts = append(s.parts, r.part)
+	for j := range b {
+		s.parts = s.parts[:0]
+		for _, r := range s.ranges[:n] {
+			s.parts = append(s.parts, r.parts[j])
+		}
+		dst = append(dst, s.merge.run(s.parts, k))
 	}
-	return s.merge.run(s.parts, k)
+	return dst
+}
+
+// split is the split rule: the number of contiguous row ranges a scan of b
+// queries over c rows of width d is cut into, one per splitBytes of the
+// b·c·d·4 bytes it scores, at most one per core and never more than rows.
+func (s *Scanner) split(b, c, d int) int {
+	n := s.forceRanges
+	if n == 0 {
+		if n = b * c * d * 4 / splitBytes; n > 1 {
+			n = min(n, runtime.GOMAXPROCS(0))
+		}
+	}
+	return max(1, min(n, c))
 }

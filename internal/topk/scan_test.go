@@ -151,18 +151,41 @@ func TestSplitRule(t *testing.T) {
 	if len(s.ranges) != 2 {
 		t.Fatalf("a catalog of 2×splitBytes used %d ranges, want 2", len(s.ranges))
 	}
+	// The work is the batch's: two queries over half the catalog split.
+	half, pair := tensor.New(splitBytes/(4*d), d), tensor.New(2, d)
+	s = Scanner{}
+	s.TopKBatch(nil, half, pair.Rows(0, 1), 3)
+	if len(s.ranges) != 1 {
+		t.Fatalf("one query over splitBytes used %d ranges", len(s.ranges))
+	}
+	s.TopKBatch(nil, half, pair, 3)
+	if len(s.ranges) != 2 {
+		t.Fatalf("two queries over splitBytes used %d ranges, want 2", len(s.ranges))
+	}
 }
 
-// A warm Scanner allocates the returned list and, when it splits, one
-// closure per spawned range — not heaps, partial lists or merge state.
+// A warm Scanner allocates only the returned lists — one for TopK, B for
+// TopKBatch — not heaps, partial lists, merge state or the goroutines'
+// closures.
 func TestScannerAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	items, query := randCatalog(rng, 5000, 8)
-	for n, limit := range map[int]float64{1: 1, 3: 1 + 2} {
+	queries := tensor.New(4, 8)
+	for i := range queries.Data() {
+		queries.Data()[i] = float32(rng.NormFloat64())
+	}
+	for _, n := range []int{1, 3} {
 		s := Scanner{forceRanges: n}
 		s.TopK(items, query, 21)
-		if got := testing.AllocsPerRun(50, func() { s.TopK(items, query, 21) }); got > limit {
-			t.Errorf("ranges=%d: %v allocations per call, want at most %v", n, got, limit)
+		if got := testing.AllocsPerRun(50, func() { s.TopK(items, query, 21) }); got > 1 {
+			t.Errorf("TopK ranges=%d: %v allocations per call, want at most 1", n, got)
+		}
+		for _, b := range []int{1, 2, 4} {
+			qs := queries.Rows(0, b)
+			lists := s.TopKBatch(nil, items, qs, 21)
+			if got := testing.AllocsPerRun(50, func() { lists = s.TopKBatch(lists[:0], items, qs, 21) }); got > float64(b) {
+				t.Errorf("TopKBatch B=%d ranges=%d: %v allocations per call, want at most %d", b, n, got, b)
+			}
 		}
 	}
 }
@@ -172,27 +195,42 @@ func benchCatalog(bytes, d int) (items, query *tensor.Tensor) {
 }
 
 // BenchmarkTopKSplit is the measurement behind splitBytes: one range against
-// two, by catalog size, from one caller and from two concurrent ones.
+// two, by catalog size and batch size B (TopK at B = 1, TopKBatch above; the
+// work is B times the catalog), from one caller and from two concurrent ones.
 func BenchmarkTopKSplit(b *testing.B) {
+	const d = 32
+	rng := rand.New(rand.NewSource(3))
+	queries := tensor.New(8, d)
+	for i := range queries.Data() {
+		queries.Data()[i] = float32(rng.NormFloat64())
+	}
 	for _, mb := range []int{1, 2, 4, 8, 16, 32, 128} {
-		items, query := benchCatalog(mb<<20, 32)
-		for _, n := range []int{1, 2} {
-			for _, callers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%dMB/ranges=%d/callers=%d", mb, n, callers), func(b *testing.B) {
-					done := make(chan struct{})
-					for c := 0; c < callers; c++ {
-						go func() {
-							s := Scanner{forceRanges: n}
-							for i := 0; i < b.N; i++ {
-								s.TopK(items, query, 21)
-							}
-							done <- struct{}{}
-						}()
-					}
-					for c := 0; c < callers; c++ {
-						<-done
-					}
-				})
+		items, query := benchCatalog(mb<<20, d)
+		for _, batch := range []int{1, 2, 8} {
+			qs := queries.Rows(0, batch)
+			for _, n := range []int{1, 2} {
+				for _, callers := range []int{1, 2} {
+					b.Run(fmt.Sprintf("%dMB/B=%d/ranges=%d/callers=%d", mb, batch, n, callers), func(b *testing.B) {
+						done := make(chan struct{})
+						for c := 0; c < callers; c++ {
+							go func() {
+								s := Scanner{forceRanges: n}
+								var lists [][]Result
+								for i := 0; i < b.N; i++ {
+									if batch == 1 {
+										s.TopK(items, query, 21)
+									} else {
+										lists = s.TopKBatch(lists[:0], items, qs, 21)
+									}
+								}
+								done <- struct{}{}
+							}()
+						}
+						for c := 0; c < callers; c++ {
+							<-done
+						}
+					})
+				}
 			}
 		}
 	}
